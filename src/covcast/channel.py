@@ -199,12 +199,6 @@ class PropagationParams:
         if self.noise_power < 0.0:
             raise ValueError("noise_power must be nonnegative")
 
-    @classmethod
-    def from_frequency(
-        cls, frequency_hz: float, rx_power: float = 1.0, noise_power: float = 1e-9
-    ) -> "PropagationParams":
-        return cls(SPEED_OF_LIGHT / frequency_hz, rx_power, noise_power)
-
 
 def model_covariance(
     geometry: ArrayGeometry, field: ScattererField, params: PropagationParams

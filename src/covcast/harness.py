@@ -170,6 +170,17 @@ def _mse_to_truth(truth: SPDMatrix, estimate: SPDMatrix) -> float:
     return float(distance(Metric.AFFINE_INVARIANT, truth, estimate) ** 2)
 
 
+def _failure_flags(exc: Exception) -> tuple[str, ...]:
+    """``failed:<ExceptionClass>``, then the exception's message if any.
+
+    The message is flattened onto one line and its semicolons become commas,
+    so it survives the semicolon-joined CSV flags field.
+    """
+    message = " ".join(str(exc).replace(";", ",").split())
+    kind = f"failed:{type(exc).__name__}"
+    return (kind, message) if message else (kind,)
+
+
 def _run_estimators(
     config: ScenarioConfig, dictionary: Dictionary, case: QueryCase
 ) -> list[ResultRecord]:
@@ -186,7 +197,7 @@ def _run_estimators(
             records.append(
                 ResultRecord(
                     estimator, metric, case.dict_size, case.trial,
-                    None, elapsed, (f"failed:{type(exc).__name__}",),
+                    None, elapsed, _failure_flags(exc),
                 )
             )
             return

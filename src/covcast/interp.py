@@ -4,8 +4,10 @@ Given a dictionary of matched (uplink, downlink) covariance pairs and a newly
 observed uplink covariance, estimate the downlink covariance as the weighted
 barycenter of the stored downlink matrices.  Three weight-selection schemes
 are provided: nearest neighbor, mirror interpolation (weights that best
-reconstruct the query as a barycenter of nearby uplink entries), and Gaussian
-kernel smoothing with a per-query bandwidth search.
+reconstruct the query as a barycenter of nearby uplink entries, from a
+quadratic program over the simplex solved exactly through its
+non-negative least-squares lift), and Gaussian kernel smoothing with a
+per-query bandwidth search.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .spd import (
     BarycenterResult,
@@ -47,8 +50,6 @@ FLAG_DEGENERATE_BANDWIDTH = "degenerate-bandwidth"
 FLAG_FLAT_BANDWIDTH = "flat-bandwidth"
 FLAG_KARCHER_NONCONVERGED = "karcher-nonconverged"
 
-_QP_MAX_ITER = 10_000
-_QP_MOVEMENT_TOL = 1e-12
 _BANDWIDTH_EVALS = 200
 _BANDWIDTH_SCAN_POINTS = 64
 
@@ -60,7 +61,7 @@ class Dictionary:
     one (possibly different) dimension; the dictionary is never empty.
     """
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_pairs", "_uplinks", "_downlinks")
 
     def __init__(self, pairs: Iterable[tuple[SPDMatrix, SPDMatrix]]) -> None:
         pairs = tuple((ul, dl) for ul, dl in pairs)
@@ -78,6 +79,8 @@ class Dictionary:
                     f"downlink dimension mismatch at entry {i}: {dl.dim} vs {n_t}"
                 )
         self._pairs = pairs
+        self._uplinks = tuple(ul for ul, _ in pairs)
+        self._downlinks = tuple(dl for _, dl in pairs)
 
     @property
     def pairs(self) -> tuple[tuple[SPDMatrix, SPDMatrix], ...]:
@@ -85,11 +88,11 @@ class Dictionary:
 
     @property
     def uplinks(self) -> tuple[SPDMatrix, ...]:
-        return tuple(ul for ul, _ in self._pairs)
+        return self._uplinks
 
     @property
     def downlinks(self) -> tuple[SPDMatrix, ...]:
-        return tuple(dl for _, dl in self._pairs)
+        return self._downlinks
 
     @property
     def uplink_dim(self) -> int:
@@ -219,12 +222,20 @@ def nearest_neighbor_weights(
 
 
 def solve_simplex_qp(gram: np.ndarray) -> WeightVector:
-    """Minimize ``w^T G w`` over the probability simplex.
+    """Minimize ``w^T G w`` over the probability simplex, exactly.
 
-    Accelerated projected gradient with Lipschitz step ``1/lambda_max(G)``
-    from a uniform start, with adaptive restart on objective increase;
-    iteration stops when the projected-gradient fixed-point residual drops
-    below 1e-12 (sup norm) or after 10,000 iterations.  Deterministic.
+    Factors ``G = A^T A`` with ``A = diag(sqrt(max(lambda, 0))) V^T`` from
+    one eigendecomposition, solves the non-negative least-squares lift
+
+        ``min ||A v||^2 + (1^T v - 1)^2``  over ``v >= 0``
+
+    with Lawson-Hanson NNLS (:func:`scipy.optimize.nnls`) and returns
+    ``w = v / 1^T v``.  The lift is exact: for ``v = s w`` its value is
+    ``s^2 q + (s - 1)^2`` with ``q = w^T G w``, whose minimum over ``s`` is
+    ``q / (1 + q)``, increasing in ``q``, so the lifted minimizer normalizes
+    to the simplex minimizer.  The active-set method terminates in finitely
+    many steps; if NNLS exhausts its own iteration allowance it raises
+    ``RuntimeError``.  Deterministic.
 
     Parameters
     ----------
@@ -236,8 +247,7 @@ def solve_simplex_qp(gram: np.ndarray) -> WeightVector:
     Returns
     -------
     WeightVector
-        Length-k weights achieving the simplex minimum (within solver
-        tolerance).
+        Length-k weights achieving the simplex minimum.
     """
     g = np.asarray(gram)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -248,50 +258,20 @@ def solve_simplex_qp(gram: np.ndarray) -> WeightVector:
         g = np.real((g + g.conj().T) / 2)
     else:
         g = (g + g.T) / 2
-    eigs = np.linalg.eigvalsh(g)
+    eigs, vecs = np.linalg.eigh(g)
     if eigs[0] < -1e-10 * max(1.0, abs(eigs[-1])):
         raise ValueError(f"Gram matrix is not PSD: min eigenvalue {eigs[0]:.3e}")
 
     k = g.shape[0]
-    x = np.full(k, 1.0 / k)
-    lam_max = float(eigs[-1])
-    if lam_max <= 0.0:
+    if eigs[-1] <= 0.0:
         # Zero (or numerically zero) objective: every simplex point is optimal.
-        return WeightVector(x)
+        return WeightVector(np.full(k, 1.0 / k))
 
-    step = 1.0 / lam_max
-    y = x.copy()
-    t = 1.0
-    obj = float(x @ g @ x)
-    for _ in range(_QP_MAX_ITER):
-        x_new = _project_simplex(y - step * (g @ y))
-        # First-order optimality: a fixed point of the plain projected
-        # gradient map is the constrained minimizer.  (Momentum can park an
-        # iterate on a vertex for a step, so movement alone is unreliable.)
-        grad_new = g @ x_new
-        residual = np.abs(_project_simplex(x_new - step * grad_new) - x_new).max()
-        obj_new = float(x_new @ grad_new)
-        if obj_new > obj:
-            # adaptive restart: drop momentum when the objective increases
-            t_new = 1.0
-            y = x_new
-        else:
-            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t, obj = x_new, t_new, obj_new
-        if residual < _QP_MOVEMENT_TOL:
-            break
-    return WeightVector(x)
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    lifted = np.vstack([np.sqrt(np.maximum(eigs, 0.0))[:, None] * vecs.T, np.ones(k)])
+    target = np.zeros(k + 1)
+    target[-1] = 1.0
+    v, _ = nnls(lifted, target)
+    return WeightVector(v / v.sum())
 
 
 def mirror_weights(
@@ -318,8 +298,9 @@ def mirror_weights(
     ]
     m = np.stack([t.ravel() for t in tangents], axis=1)
     gram = np.real(m.conj().T @ m)
-    # Scale-normalize so the solver's PSD gate and step size are well posed
-    # regardless of tangent magnitudes; the minimizer is scale-invariant.
+    # Scale-normalize so the solver's PSD gate and the balance between the
+    # Gram factor and the lift's sum-to-one row do not depend on tangent
+    # magnitudes; the minimizer is scale-invariant.
     scale = float(np.abs(np.diag(gram)).max())
     if scale > 0.0:
         gram = gram / scale

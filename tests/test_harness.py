@@ -200,6 +200,19 @@ class TestCsv:
             records, key=lambda r: (r.estimator, r.metric, r.dict_size, r.trial)
         )
 
+    def test_failure_message_round_trip(self, tmp_path, monkeypatch):
+        def raise_with_message(*args):
+            raise RuntimeError("Maximum number of iterations; reached.\nsecond  line")
+
+        monkeypatch.setattr("covcast.harness.estimate_downlink", raise_with_message)
+        records = run_benchmark(tiny_config())
+        failed = [r for r in records if r.failed]
+        flags = ("failed:RuntimeError", "Maximum number of iterations, reached. second line")
+        assert failed and all(r.flags == flags for r in failed)
+        path = tmp_path / "failed.csv"
+        emit_csv(records, path)
+        assert read_csv(path) == records
+
     def test_rows_sorted(self, tmp_path):
         path = tmp_path / "sorted.csv"
         records = [

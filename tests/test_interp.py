@@ -1,12 +1,22 @@
 """Weight-selection schemes and the dictionary estimator."""
 
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
+from covcast.config import parse_config
+from covcast.harness import (
+    _TAG_DICTIONARY,
+    _build_case,
+    _rng,
+    build_dictionary,
+    make_geometry,
+)
 from covcast.interp import (
     FLAG_DEGENERATE_BANDWIDTH,
     FLAG_FLAT_BANDWIDTH,
@@ -26,6 +36,7 @@ from covcast.spd import Metric, SPDMatrix, distance, log_map
 from helpers import frob, random_spd
 
 METRICS = list(Metric)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -74,6 +85,14 @@ class TestDictionary:
         assert d.uplink_dim == 3
         assert d.downlink_dim == 5
         assert len(d) == 2
+
+    def test_uplinks_and_downlinks_are_stored_once(self):
+        rng = np.random.default_rng(2)
+        d = make_dictionary(rng, 4)
+        assert d.uplinks == tuple(ul for ul, _ in d.pairs)
+        assert d.downlinks == tuple(dl for _, dl in d.pairs)
+        assert d.uplinks is d.uplinks
+        assert d.downlinks is d.downlinks
 
 
 class TestWeightVector:
@@ -196,6 +215,37 @@ class TestSimplexQp:
         with pytest.raises(ValueError):
             solve_simplex_qp(np.diag([1.0, -1.0]))
 
+    @staticmethod
+    def assert_kkt(gram: np.ndarray, w: np.ndarray, tol: float) -> None:
+        # On the simplex, w is optimal iff (Gw)_i >= w^T G w for every i,
+        # with equality wherever w_i > 0.
+        grad = gram @ w
+        obj = float(w @ grad)
+        assert grad.min() >= obj - tol
+        support = w > 0.0
+        assert np.abs(grad[support] - obj).max() <= tol
+
+    def test_kkt_ill_conditioned(self):
+        rng = np.random.default_rng(12)
+        base = rng.standard_normal(30)
+        m = base[:, None] + 1e-5 * rng.standard_normal((30, 12))
+        gram = m.T @ m
+        gram /= np.abs(np.diag(gram)).max()
+        assert np.linalg.cond(gram) >= 1e9
+        w = solve_simplex_qp(gram).w
+        self.assert_kkt(gram, w, tol=1e-12)
+
+    def test_kkt_rank_deficient(self):
+        # More columns than the tangent space has dimensions, as when the
+        # mirror scheme selects k_s = N^2 entries at K >= N^2.
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((6, 15)) + 0.5
+        gram = m.T @ m
+        gram /= np.abs(np.diag(gram)).max()
+        assert np.linalg.matrix_rank(gram) == 6
+        w = solve_simplex_qp(gram).w
+        self.assert_kkt(gram, w, tol=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # Mirror interpolation
@@ -238,6 +288,29 @@ class TestMirrorWeights:
         ours = float(objective(w.w[None, :])[0])
         grid_best = float(objective(simplex_grid(3, 1000)).min())
         assert ours <= grid_best + 1e-6
+
+    def test_desk_ula_query_reaches_simplex_minimum(self):
+        # desk_ula.cfg, K=50, trial 6: a query on which an iterative solver
+        # stopping at an iteration cap landed 1.65 % above the minimum.
+        config = parse_config(CONFIG_DIR / "desk_ula.cfg")
+        geometry = make_geometry(config)
+        rng = _rng(config.master_seed, _TAG_DICTIONARY, 50, 0)
+        d = build_dictionary(config, 50, rng, geometry)
+        q = _build_case(config, geometry, 50, 6).query_ul
+        w = mirror_weights(d, q, Metric.EUCLIDEAN).w
+
+        # k_s = min(N^2, K) = K here, so every entry is selected.
+        m = np.stack([(ul.mat - q.mat).ravel() for ul in d.uplinks], axis=1)
+        gram = np.real(m.conj().T @ m)
+        lam, u = np.linalg.eigh(gram)
+        factor = np.sqrt(np.clip(lam, 0.0, None))[:, None] * u.T
+        lifted = np.vstack([factor, np.ones(50)])
+        target = np.zeros(51)
+        target[-1] = 1.0
+        v, _ = nnls(lifted, target)
+        v /= v.sum()
+        best = float(v @ gram @ v)
+        assert float(w @ gram @ w) <= best * (1.0 + 1e-6)
 
     def test_support_respects_neighborhood_cap(self):
         # uplink dim 2 -> at most 4 entries may carry weight
