@@ -62,10 +62,13 @@ from .spd import (
     NotHermitianError,
     NotPositiveDefiniteError,
     SPDMatrix,
+    SPDStack,
     barycenter,
     distance,
+    distances,
     exp_map,
     log_map,
+    log_maps,
     matrix_exp,
     matrix_log,
     matrix_sqrt,

@@ -17,6 +17,7 @@ import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from statistics import mean, median
 
@@ -181,56 +182,52 @@ def _failure_flags(exc: Exception) -> tuple[str, ...]:
     return (kind, message) if message else (kind,)
 
 
+def _run_scheme(scheme: Scheme, metric: Metric, dictionary: Dictionary, case: QueryCase):
+    est = estimate_downlink(dictionary, case.query_ul, scheme, metric)
+    return est.covariance, est.flags
+
+
+def _run_baseline(baseline: BaselineKind, config: ScenarioConfig, case: QueryCase):
+    if baseline is BaselineKind.NO_CONVERSION:
+        return no_conversion(case.query_ul, config.n_antennas), ()
+    if baseline is BaselineKind.SPLINE:
+        return spline_convert(case.query_ul, config.f_ul, config.f_dl, config.array_kind)
+    rng = np.random.default_rng(np.random.SeedSequence(list(case.pf_seed_key)))
+    return perfect_feedback(case.truth_dl, config.n_realizations, rng), ()
+
+
+def _estimator_calls(config: ScenarioConfig, dictionary: Dictionary, case: QueryCase):
+    """Every configured scheme, then every baseline, on one query.
+
+    Yields ``(estimator, metric, call)``; ``call()`` returns the estimate and
+    its flags.  The calls look up ``estimate_downlink`` and the baselines in
+    this module when they run, so a wrapper set on those module attributes
+    sees every call.
+    """
+    for scheme, metric in config.schemes:
+        yield scheme.label, metric.label, partial(_run_scheme, scheme, metric, dictionary, case)
+    for baseline in config.baselines:
+        yield baseline.value, "", partial(_run_baseline, baseline, config, case)
+
+
 def _run_estimators(
     config: ScenarioConfig, dictionary: Dictionary, case: QueryCase
 ) -> list[ResultRecord]:
     """Run every configured scheme and baseline on one query."""
     records: list[ResultRecord] = []
-
-    def record(estimator: str, metric: str, fn) -> None:
+    for estimator, metric, call in _estimator_calls(config, dictionary, case):
         start = time.perf_counter_ns()
         try:
-            estimate, flags = fn()
+            estimate, flags = call()
             mse = _mse_to_truth(case.truth_dl, estimate)
         except Exception as exc:  # noqa: BLE001 - failure isolation by contract
-            elapsed = time.perf_counter_ns() - start
-            records.append(
-                ResultRecord(
-                    estimator, metric, case.dict_size, case.trial,
-                    None, elapsed, _failure_flags(exc),
-                )
-            )
-            return
+            mse, flags = None, _failure_flags(exc)
         elapsed = time.perf_counter_ns() - start
         records.append(
             ResultRecord(
                 estimator, metric, case.dict_size, case.trial, mse, elapsed, flags
             )
         )
-
-    for scheme, metric in config.schemes:
-        def run_scheme(scheme=scheme, metric=metric):
-            est = estimate_downlink(dictionary, case.query_ul, scheme, metric)
-            return est.covariance, est.flags
-
-        record(scheme.label, metric.label, run_scheme)
-
-    for baseline in config.baselines:
-        if baseline is BaselineKind.NO_CONVERSION:
-            def run_baseline():
-                return no_conversion(case.query_ul, config.n_antennas), ()
-        elif baseline is BaselineKind.SPLINE:
-            def run_baseline():
-                return spline_convert(
-                    case.query_ul, config.f_ul, config.f_dl, config.array_kind
-                )
-        else:
-            def run_baseline():
-                rng = np.random.default_rng(np.random.SeedSequence(list(case.pf_seed_key)))
-                return perfect_feedback(case.truth_dl, config.n_realizations, rng), ()
-
-        record(baseline.value, "", run_baseline)
-
     return records
 
 
@@ -245,9 +242,23 @@ def _build_case(
     return QueryCase(dict_size, trial, query_ul, truth_dl, pf_key)
 
 
-def _run_trial(args) -> list[ResultRecord]:
-    config, dictionary, geometry, dict_size, trial = args
-    case = _build_case(config, geometry, dict_size, trial)
+# The sweep this process serves: (config, geometry, dictionaries).  Pool
+# workers receive it once through the pool initializer, inherited rather than
+# pickled under the fork start method, so a task is only (dictionary index,
+# trial) and each worker fits each dictionary's stacks once.
+_SWEEP: tuple | None = None
+
+
+def _init_sweep(config: ScenarioConfig, geometry: ArrayGeometry, dictionaries) -> None:
+    global _SWEEP
+    _SWEEP = (config, geometry, dictionaries)
+
+
+def _run_trial(task: tuple[int, int], sweep: tuple | None = None) -> list[ResultRecord]:
+    config, geometry, dictionaries = sweep or _SWEEP
+    index, trial = task
+    dictionary = dictionaries[index]
+    case = _build_case(config, geometry, len(dictionary), trial)
     return _run_estimators(config, dictionary, case)
 
 
@@ -263,21 +274,24 @@ def run_benchmark(config: ScenarioConfig, n_workers: int = 1) -> list[ResultReco
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     geometry = make_geometry(config)
+    dictionaries = []
     tasks = []
     for dict_size in config.dict_sizes:
         for redraw in range(config.n_dictionary_redraws):
             dict_rng = _rng(config.master_seed, _TAG_DICTIONARY, dict_size, redraw)
-            dictionary = build_dictionary(config, dict_size, dict_rng, geometry)
+            dictionaries.append(build_dictionary(config, dict_size, dict_rng, geometry))
             for query in range(config.n_queries):
-                trial = redraw * config.n_queries + query
-                tasks.append((config, dictionary, geometry, dict_size, trial))
+                tasks.append((len(dictionaries) - 1, redraw * config.n_queries + query))
+    sweep = (config, geometry, tuple(dictionaries))
 
     records: list[ResultRecord] = []
     if n_workers == 1:
         for task in tasks:
-            records.extend(_run_trial(task))
+            records.extend(_run_trial(task, sweep))
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_init_sweep, initargs=sweep
+        ) as pool:
             for chunk in pool.map(_run_trial, tasks):
                 records.extend(chunk)
     return sorted(records, key=_record_sort_key)
@@ -418,31 +432,8 @@ def timing_bench(
     )
     case = _build_case(config, geometry, dict_size, 0)
 
-    def calls():
-        for scheme, metric in config.schemes:
-            yield scheme.label, metric.label, (
-                lambda scheme=scheme, metric=metric: estimate_downlink(
-                    dictionary, case.query_ul, scheme, metric
-                )
-            )
-        for baseline in config.baselines:
-            if baseline is BaselineKind.NO_CONVERSION:
-                fn = lambda: no_conversion(case.query_ul, config.n_antennas)
-            elif baseline is BaselineKind.SPLINE:
-                fn = lambda: spline_convert(
-                    case.query_ul, config.f_ul, config.f_dl, config.array_kind
-                )
-            else:
-                def fn():
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(list(case.pf_seed_key))
-                    )
-                    return perfect_feedback(case.truth_dl, config.n_realizations, rng)
-
-            yield baseline.value, "", fn
-
     stats = []
-    for estimator, metric, fn in calls():
+    for estimator, metric, fn in _estimator_calls(config, dictionary, case):
         for _ in range(n_warmup):
             fn()
         times = []

@@ -14,20 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .spd import (
     BarycenterResult,
-    HermitianTangent,
     Metric,
     SPDMatrix,
+    SPDStack,
     barycenter,
-    distance,
-    log_map,
-    whitened_log_map,
+    distances,
+    log_maps,
 )
 
 __all__ = [
@@ -59,6 +58,11 @@ class Dictionary:
 
     All uplink matrices share one dimension and all downlink matrices share
     one (possibly different) dimension; the dictionary is never empty.
+
+    Each side is also held as an :class:`~covcast.spd.SPDStack`, whose
+    stacked logarithms and inverse square roots are the dictionary's fitted
+    coordinates: computed on first use, once per dictionary and process,
+    and read by every later query.
     """
 
     __slots__ = ("_pairs", "_uplinks", "_downlinks")
@@ -79,8 +83,8 @@ class Dictionary:
                     f"downlink dimension mismatch at entry {i}: {dl.dim} vs {n_t}"
                 )
         self._pairs = pairs
-        self._uplinks = tuple(ul for ul, _ in pairs)
-        self._downlinks = tuple(dl for _, dl in pairs)
+        self._uplinks = SPDStack(ul for ul, _ in pairs)
+        self._downlinks = SPDStack(dl for _, dl in pairs)
 
     @property
     def pairs(self) -> tuple[tuple[SPDMatrix, SPDMatrix], ...]:
@@ -88,10 +92,18 @@ class Dictionary:
 
     @property
     def uplinks(self) -> tuple[SPDMatrix, ...]:
-        return self._uplinks
+        return self._uplinks.points
 
     @property
     def downlinks(self) -> tuple[SPDMatrix, ...]:
+        return self._downlinks.points
+
+    @property
+    def uplink_stack(self) -> SPDStack:
+        return self._uplinks
+
+    @property
+    def downlink_stack(self) -> SPDStack:
         return self._downlinks
 
     @property
@@ -205,7 +217,7 @@ def _uplink_distances(dictionary: Dictionary, query: SPDMatrix, metric: Metric) 
             f"query dimension {query.dim} does not match dictionary "
             f"uplink dimension {dictionary.uplink_dim}"
         )
-    return np.array([distance(metric, ul, query) for ul in dictionary.uplinks])
+    return distances(metric, dictionary.uplink_stack, query)
 
 
 def nearest_neighbor_weights(
@@ -293,10 +305,9 @@ def mirror_weights(
     k_s = min(dictionary.uplink_dim**2, k)
     selected = np.argsort(d, kind="stable")[:k_s]
 
-    tangents = [
-        whitened_log_map(metric, query, dictionary.uplinks[int(i)]).mat for i in selected
-    ]
-    m = np.stack([t.ravel() for t in tangents], axis=1)
+    tangents = log_maps(metric, query, dictionary.uplink_stack, selected, whitened=True)
+    # one column per selected entry, C-ordered as the Gram product expects
+    m = np.ascontiguousarray(tangents.reshape(k_s, -1).T)
     gram = np.real(m.conj().T @ m)
     # Scale-normalize so the solver's PSD gate and the balance between the
     # Gram factor and the lift's sum-to-one row do not depend on tangent
@@ -384,9 +395,7 @@ def select_bandwidth(
     # and hence the selected bandwidth, invariant under dictionary
     # permutation down to the bit level.
     order = np.argsort(d, kind="stable")
-    tangents = np.stack(
-        [log_map(metric, query, dictionary.uplinks[int(i)]).mat for i in order]
-    )
+    tangents = log_maps(metric, query, dictionary.uplink_stack, order)
     objective = _bandwidth_objective_factory(tangents, d[order])
 
     lo = float(np.log(nonzero.min() / 10.0))
@@ -449,7 +458,7 @@ def estimate_downlink(
         weights, kernel_flags = kernel_weights(dictionary, query, metric, sigma)
         flags = flags + kernel_flags
 
-    result: BarycenterResult = barycenter(metric, dictionary.downlinks, weights.w)
+    result: BarycenterResult = barycenter(metric, dictionary.downlink_stack, weights.w)
     if not result.converged:
         flags = flags + (FLAG_KARCHER_NONCONVERGED,)
     return DownlinkEstimate(result.point, weights, flags)

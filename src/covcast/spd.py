@@ -12,9 +12,9 @@ All operations are pure functions; :class:`SPDMatrix` and
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,10 +28,13 @@ __all__ = [
     "NotHermitianError",
     "NotPositiveDefiniteError",
     "SPDMatrix",
+    "SPDStack",
     "barycenter",
     "distance",
+    "distances",
     "exp_map",
     "log_map",
+    "log_maps",
     "matrix_exp",
     "matrix_log",
     "matrix_sqrt",
@@ -166,59 +169,84 @@ class Metric(Enum):
 
 # ---------------------------------------------------------------------------
 # Array-level matrix functions (internal; public API works on wrapper types).
+# Each takes one (n, n) matrix or a stack of shape (k, n, n).  numpy's eigh,
+# eigvalsh and matmul treat every slice of a stack as they treat a lone
+# matrix, so a stacked call returns bitwise the per-matrix results.
 # Inputs are symmetrized before eigendecomposition so round-off asymmetry
 # never reaches eigh; outputs are re-symmetrized so they are exactly Hermitian.
 
 
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + _ct(a)) / 2
+
+
 def _eigh_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh((a + a.conj().T) / 2)
+    return np.linalg.eigh(_herm(a))
 
 
-def _apply_spectral(a: np.ndarray, fn) -> np.ndarray:
-    w, u = _eigh_sym(a)
-    out = (u * fn(w)) @ u.conj().T
-    return (out + out.conj().T) / 2
+def _check_positive(w: np.ndarray, what: str) -> None:
+    """Raise unless every ascending eigenvalue row ``w`` starts above zero."""
+    low = w[..., 0].min()
+    if low <= 0.0:
+        raise NotPositiveDefiniteError(f"{what}: min eigenvalue = {low:.3e}")
+
+
+def _spectral(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``U diag(values) U^H`` for each eigenbasis, exactly Hermitian."""
+    return _herm((u * values[..., None, :]) @ _ct(u))
 
 
 def _logm(a: np.ndarray) -> np.ndarray:
     w, u = _eigh_sym(a)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix logarithm undefined: min eigenvalue = {w[0]:.3e}"
-        )
-    out = (u * np.log(w)) @ u.conj().T
-    return (out + out.conj().T) / 2
+    _check_positive(w, "matrix logarithm undefined")
+    return _spectral(u, np.log(w))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    return _apply_spectral(a, np.exp)
+    w, u = _eigh_sym(a)
+    return _spectral(u, np.exp(w))
 
 
 def _sqrtm(a: np.ndarray) -> np.ndarray:
     w, u = _eigh_sym(a)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix square root undefined on the cone: min eigenvalue = {w[0]:.3e}"
-        )
-    out = (u * np.sqrt(w)) @ u.conj().T
-    return (out + out.conj().T) / 2
+    _check_positive(w, "matrix square root undefined on the cone")
+    return _spectral(u, np.sqrt(w))
 
 
 def _sqrtm_invsqrtm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal square root and its inverse from a single eigendecomposition."""
     w, u = _eigh_sym(a)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix square root undefined on the cone: min eigenvalue = {w[0]:.3e}"
-        )
+    _check_positive(w, "matrix square root undefined on the cone")
     s = np.sqrt(w)
-    sq = (u * s) @ u.conj().T
-    isq = (u / s) @ u.conj().T
-    return (sq + sq.conj().T) / 2, (isq + isq.conj().T) / 2
+    return _spectral(u, s), _herm((u / s[..., None, :]) @ _ct(u))
+
+
+def _hermitian_congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ X @ A^H for Hermitian A, X (either may be a stack), exactly Hermitian."""
+    return _herm(a @ x @ _ct(a))
 
 
 def _frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
+
+
+def _frobs(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, bitwise :func:`_frob` of it.
+
+    ``np.linalg.norm(., "fro")`` of a complex matrix is ``sqrt(re.re + im.im)``
+    with one strided BLAS dot product per part; a stacked matmul of row by
+    column vectors makes the same dot-product calls.
+    """
+    flat = a.reshape(a.shape[0], -1)
+    re, im = flat.real, flat.imag
+    re2 = np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
+    im2 = np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
+    return np.sqrt(re2 + im2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +303,17 @@ def distance(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> float:
     # Affine invariant: eigenvalues of X^{-1/2} Y X^{-1/2} are the same as
     # those of X^{-1} Y, and their logs give the geodesic distance.
     _, isq = _sqrtm_invsqrtm(x.mat)
-    w = np.linalg.eigvalsh(_hermitian_congruence(isq, y.mat))
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            "affine-invariant distance: whitened matrix lost positive "
-            f"definiteness (min eigenvalue {w[0]:.3e})"
-        )
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+    return float(_ai_distances(isq, y.mat))
 
 
-def _hermitian_congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ X @ A^H for Hermitian A, X, re-symmetrized exactly."""
-    out = a @ x @ a.conj().T
-    return (out + out.conj().T) / 2
+def _ai_distances(isq: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Affine-invariant distances from the points whose inverse square roots
+    are ``isq`` (one matrix or a stack) to ``y``, one per point."""
+    w = np.linalg.eigvalsh(_hermitian_congruence(isq, y))
+    _check_positive(
+        w, "affine-invariant distance: whitened matrix lost positive definiteness"
+    )
+    return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
 
 
 def exp_map(metric: Metric, x: SPDMatrix, v: HermitianTangent) -> SPDMatrix:
@@ -347,6 +373,138 @@ def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTan
 
 
 # ---------------------------------------------------------------------------
+# Fixed stacks of points
+
+# Stacked matrix functions run over blocks of at most this many matrices, so
+# their temporaries stay small whatever the number of points.
+_BLOCK = 64
+
+
+def _block_slices(n: int):
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
+class SPDStack(Sequence):
+    """Fixed sequence of positive-definite matrices of one dimension whose
+    logarithms and inverse square roots are stacked on first use.
+
+    Each stack is computed once per object, in this process, with the steps
+    of the per-matrix functions (:func:`matrix_log`, and the inverse root
+    :func:`distance` whitens with), so every slice is bitwise what that
+    function returns for its point.  Nothing is computed at construction, and
+    a stack that is never asked for is never built.  :func:`distances`,
+    :func:`log_maps` and :func:`barycenter` read the stacks.
+
+    Raises
+    ------
+    ValueError
+        If there are no points or their dimensions differ.
+    """
+
+    __slots__ = ("_points", "_logs", "_invsqrts")
+
+    def __init__(self, points: Iterable[SPDMatrix]) -> None:
+        points = tuple(points)
+        if not points:
+            raise ValueError("a stack requires at least one point")
+        for p in points[1:]:
+            _check_same_dim(points[0], p, "stack")
+        self._points = points
+        self._logs: np.ndarray | None = None
+        self._invsqrts: np.ndarray | None = None
+
+    @property
+    def points(self) -> tuple[SPDMatrix, ...]:
+        return self._points
+
+    @property
+    def dim(self) -> int:
+        return self._points[0].dim
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, index):
+        return self._points[index]
+
+    @property
+    def logs(self) -> np.ndarray:
+        """``log P_k`` for every point, shape (k, n, n), read-only."""
+        if self._logs is None:
+            self._logs = self._stacked(_logm)
+        return self._logs
+
+    @property
+    def invsqrts(self) -> np.ndarray:
+        """``P_k^{-1/2}`` for every point, shape (k, n, n), read-only."""
+        if self._invsqrts is None:
+            self._invsqrts = self._stacked(lambda a: _sqrtm_invsqrtm(a)[1])
+        return self._invsqrts
+
+    def mats(self, idx) -> np.ndarray:
+        """The points at ``idx`` (a slice or indices) stacked, shape (m, n, n)."""
+        if isinstance(idx, slice):
+            return np.array([p.mat for p in self._points[idx]])
+        return np.array([self._points[int(i)].mat for i in idx])
+
+    def _stacked(self, fn) -> np.ndarray:
+        out = np.empty((len(self), self.dim, self.dim), dtype=np.complex128)
+        for sel in _block_slices(len(self)):
+            out[sel] = fn(self.mats(sel))
+        out.setflags(write=False)
+        return out
+
+
+def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
+    """``distance(metric, p, x)`` for every point ``p`` of the stack, bitwise.
+
+    Euclidean and log-Euclidean take the Frobenius norms of the stacked
+    ``P_k - X`` and ``log P_k - log X``; affine-invariant whitens ``X`` with
+    each point's stacked inverse root.  ``x`` costs one logarithm at most.
+    """
+    _check_same_dim(points, x, "distances")
+    if metric is Metric.LOG_EUCLIDEAN:
+        log_x = _logm(x.mat)
+    out = np.empty(len(points))
+    for sel in _block_slices(len(points)):
+        if metric is Metric.EUCLIDEAN:
+            out[sel] = _frobs(points.mats(sel) - x.mat)
+        elif metric is Metric.LOG_EUCLIDEAN:
+            out[sel] = _frobs(points.logs[sel] - log_x)
+        else:
+            out[sel] = _ai_distances(points.invsqrts[sel], x.mat)
+    return out
+
+
+def log_maps(
+    metric: Metric, x: SPDMatrix, points: SPDStack, idx, *, whitened: bool = False
+) -> np.ndarray:
+    """Tangents at ``x`` reaching the points at ``idx``, stacked, bitwise.
+
+    Slice ``j`` is ``log_map(metric, x, points[idx[j]]).mat``, or with
+    ``whitened`` the :func:`whitened_log_map` tangent.  ``x`` costs one
+    eigendecomposition at most; the affine-invariant tangents take one
+    stacked congruence and one stacked logarithm per block of points.
+    """
+    _check_same_dim(points, x, "log_maps")
+    idx = np.asarray(idx, dtype=np.intp)
+    if metric is Metric.LOG_EUCLIDEAN:
+        log_x = _logm(x.mat)
+    elif metric is Metric.AFFINE_INVARIANT:
+        sq, isq = _sqrtm_invsqrtm(x.mat)
+    out = np.empty((idx.size, x.dim, x.dim), dtype=np.complex128)
+    for sel in _block_slices(idx.size):
+        if metric is Metric.EUCLIDEAN:
+            out[sel] = points.mats(idx[sel]) - x.mat
+        elif metric is Metric.LOG_EUCLIDEAN:
+            out[sel] = points.logs[idx[sel]] - log_x
+        else:
+            inner = _logm(_hermitian_congruence(isq, points.mats(idx[sel])))
+            out[sel] = inner if whitened else _hermitian_congruence(sq, inner)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Weighted barycenters
 
 
@@ -354,9 +512,14 @@ def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTan
 class BarycenterResult:
     """Weighted barycenter plus convergence diagnostics.
 
-    ``converged`` is always True for the closed-form metrics; for the
-    affine-invariant metric it reports whether the fixed-point iteration
-    drove the tangent-mean norm below tolerance within the iteration cap.
+    ``converged`` is always True for the closed-form metrics.  For the
+    affine-invariant metric it is True when the Karcher iteration drove the
+    tangent-mean norm below ``KARCHER_TOL``, or when its best residual fell
+    below ``KARCHER_FLOOR_TOL`` and then failed to improve for
+    ``KARCHER_STALL_LIMIT`` iterations (the float64 noise floor; ``point``
+    and ``residual`` are then the best iterate's).  It is False when
+    ``KARCHER_MAX_ITER`` iterations pass without either, and ``point`` is
+    the best iterate seen.
     """
 
     point: SPDMatrix
@@ -379,7 +542,7 @@ def _check_weights(weights, n_points: int) -> np.ndarray:
 
 def barycenter(
     metric: Metric,
-    points: Sequence[SPDMatrix] | Iterable[SPDMatrix],
+    points: SPDStack | Sequence[SPDMatrix] | Iterable[SPDMatrix],
     weights,
 ) -> BarycenterResult:
     """Weighted barycenter (Fréchet mean) of positive-definite matrices.
@@ -387,19 +550,31 @@ def barycenter(
     Minimizes ``sum_i w_i d(R_i, Y)^2`` over the cone.  The Euclidean and
     log-Euclidean barycenters have closed forms (``sum w_i R_i`` and
     ``exp(sum w_i log R_i)``).  The affine-invariant barycenter is computed
-    by the Karcher fixed-point iteration
+    by the damped Karcher fixed-point iteration
 
-        ``X <- X^{1/2} exp(sum_i w_i log(X^{-1/2} R_i X^{-1/2})) X^{1/2}``
+        ``X <- X^{1/2} exp(t sum_i w_i log(X^{-1/2} R_i X^{-1/2})) X^{1/2}``
 
-    initialized at the log-Euclidean barycenter and stopped when the
-    tangent-mean Frobenius norm drops below ``KARCHER_TOL`` (unit step,
-    at most ``KARCHER_MAX_ITER`` iterations).
+    initialized at the log-Euclidean barycenter with step ``t = 1``.  The
+    step halves (down to ``2^-10``) whenever the tangent-mean Frobenius norm
+    (the residual) grows from one iteration to the next, which breaks the
+    limit cycles a unit step can fall into on widely spread points.  The
+    iteration stops when the residual drops below ``KARCHER_TOL``; or, at
+    the float64 noise floor of badly conditioned points, once the best
+    residual is below ``KARCHER_FLOOR_TOL`` and has not improved for
+    ``KARCHER_STALL_LIMIT`` iterations, returning the best iterate as
+    converged; or after ``KARCHER_MAX_ITER`` iterations, returning the best
+    iterate as not converged.  Each iteration takes the logs of the whitened
+    points as one stacked eigendecomposition per block of up to 64 points
+    with nonzero weight.
 
     Parameters
     ----------
     metric : Metric
-    points : sequence of SPDMatrix
-        At least one point, all of the same dimension.
+    points : SPDStack or sequence of SPDMatrix
+        At least one point, all of the same dimension.  An :class:`SPDStack`
+        lends its stacked logarithms (computed once per stack) to the
+        log-Euclidean mean and the Karcher starting point; any other
+        sequence is stacked first.
     weights : array_like
         Nonnegative, summing to 1 within 1e-9, one per point.
 
@@ -407,29 +582,25 @@ def barycenter(
     -------
     BarycenterResult
     """
-    points = list(points)
-    if not points:
-        raise ValueError("barycenter requires at least one point")
-    dim = points[0].dim
-    for p in points[1:]:
-        _check_same_dim(points[0], p, "barycenter")
+    if not isinstance(points, SPDStack):
+        points = SPDStack(points)
+    dim = points.dim
     w = _check_weights(weights, len(points))
 
-    # Zero-weight points cannot move the barycenter; dropping them avoids
-    # needless eigendecompositions for one-hot and sparse weight vectors.
+    # Zero-weight points cannot move the barycenter and are left out.
     active = np.flatnonzero(w > 0.0)
-    mats = [points[int(i)].mat for i in active]
     wa = w[active]
 
     if metric is Metric.EUCLIDEAN:
-        acc = np.tensordot(wa, np.stack(mats), axes=1)
+        acc = np.tensordot(wa, points.mats(active), axes=1)
         return BarycenterResult(SPDMatrix(acc), True, 0, 0.0)
 
-    log_mean = np.tensordot(wa, np.stack([_logm(m) for m in mats]), axes=1)
+    log_mean = np.tensordot(wa, points.logs[active], axes=1)
     le_point = _expm(log_mean)
     if metric is Metric.LOG_EUCLIDEAN:
         return BarycenterResult(SPDMatrix(le_point), True, 0, 0.0)
 
+    mats = points.mats(active)
     x = le_point
     iterations = 0
     best_residual = np.inf
@@ -440,8 +611,11 @@ def barycenter(
     while True:
         sq, isq = _sqrtm_invsqrtm(x)
         tangent = np.zeros((dim, dim), dtype=np.complex128)
-        for wi, m in zip(wa, mats):
-            tangent += wi * _logm(_hermitian_congruence(isq, m))
+        for sel in _block_slices(active.size):
+            logs = _logm(_hermitian_congruence(isq, mats[sel]))
+            # summed in point order, as a per-point loop would
+            for wi, log_i in zip(wa[sel], logs):
+                tangent += wi * log_i
         residual = _frob(tangent)
         if residual < KARCHER_TOL:
             return BarycenterResult(SPDMatrix(x), True, iterations, residual)

@@ -1,10 +1,13 @@
 """Benchmark driver: pair/dictionary construction, the Monte-Carlo sweep,
 CSV emission, and aggregation."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import covcast.harness as harness
 from covcast.baselines import BaselineKind
 from covcast.channel import ArrayKind, PropagationParams, model_covariance
 from covcast.config import ScenarioConfig
@@ -173,6 +176,23 @@ class TestRunBenchmark:
         records = run_benchmark(tiny_config())
         assert all(r.mse >= 0.0 for r in records if not r.failed)
 
+    def test_pool_tasks_name_dictionaries_by_index(self, monkeypatch):
+        # The dictionaries reach each worker once, through the pool
+        # initializer; a task is only (dictionary index, trial).
+        seen = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                seen.extend(tasks)
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        config = tiny_config(dict_sizes=(2, 3), n_dictionary_redraws=2, n_queries=1)
+        pooled = run_benchmark(config, n_workers=2)
+        assert seen == [(0, 0), (1, 1), (2, 0), (3, 1)]
+        assert strip_runtimes(pooled) == strip_runtimes(run_benchmark(config))
+
 
 class TestCsv:
     def test_empty_records_header_only(self, tmp_path):
@@ -286,6 +306,36 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+class TestEstimatorTable:
+    def test_estimators_are_looked_up_when_called(self, monkeypatch):
+        # run and bench share one table, which must call whatever the module
+        # attributes hold at call time, so wrappers set after import see
+        # every estimate.
+        names = ("estimate_downlink", "no_conversion", "spline_convert", "perfect_feedback")
+        seen = []
+        for name in names:
+            real = getattr(harness, name)
+
+            def wrapper(*args, _real=real, _name=name, **kwargs):
+                seen.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapper)
+        config = tiny_config(
+            baselines=(
+                BaselineKind.NO_CONVERSION,
+                BaselineKind.SPLINE,
+                BaselineKind.PERFECT_FEEDBACK,
+            )
+        )
+        records = run_benchmark(config)
+        assert set(seen) == set(names)
+        assert len(seen) == len(records)
+        seen.clear()
+        timing_bench(config, n_calls=1, n_warmup=0)
+        assert seen == ["estimate_downlink"] * len(config.schemes) + list(names[1:])
 
 
 class TestTimingBench:

@@ -1,5 +1,6 @@
 """Weight-selection schemes and the dictionary estimator."""
 
+import pickle
 from itertools import combinations
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from covcast.harness import (
     build_dictionary,
     make_geometry,
 )
+import covcast.interp as interp
 from covcast.interp import (
     FLAG_DEGENERATE_BANDWIDTH,
     FLAG_FLAT_BANDWIDTH,
@@ -32,7 +34,15 @@ from covcast.interp import (
     select_bandwidth,
     solve_simplex_qp,
 )
-from covcast.spd import Metric, SPDMatrix, distance, log_map
+from covcast.spd import (
+    _BLOCK,
+    Metric,
+    SPDMatrix,
+    barycenter,
+    distance,
+    log_map,
+    whitened_log_map,
+)
 from helpers import frob, random_spd
 
 METRICS = list(Metric)
@@ -508,3 +518,123 @@ class TestEstimateDownlink:
         assert frob(e0.covariance.mat - e1.covariance.mat) < 1e-9
         if scheme.kind is not SchemeKind.MIRROR:
             assert np.allclose(e0.weights.w[perm], e1.weights.w, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The fitted dictionary: stacked paths are bitwise the per-entry ones
+
+# One entry, fewer entries than a stacking block, and more than a block.
+FITTED_SIZES = [1, 10, _BLOCK + 6]
+SCHEMES = [Scheme.nearest_neighbor(), Scheme.mirror(), Scheme.kernel()]
+
+
+def per_entry_distances(metric, points, x):
+    return np.array([distance(metric, p, x) for p in points])
+
+
+def per_entry_log_maps(metric, x, points, idx, *, whitened=False):
+    fn = whitened_log_map if whitened else log_map
+    return np.stack([fn(metric, x, points[int(i)]).mat for i in idx])
+
+
+def same_estimate(a, b) -> bool:
+    return (
+        np.array_equal(a.covariance.mat, b.covariance.mat)
+        and np.array_equal(a.weights.w, b.weights.w)
+        and a.flags == b.flags
+    )
+
+
+class TestFittedDictionary:
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("k", FITTED_SIZES)
+    def test_distances_equal_per_entry(self, metric, k):
+        rng = np.random.default_rng(40 + k)
+        d = make_dictionary(rng, k)
+        q = random_spd(rng, 3)
+        expected = [distance(metric, ul, q) for ul in d.uplinks]
+        assert np.array_equal(interp._uplink_distances(d, q, metric), expected)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("k", FITTED_SIZES)
+    def test_estimates_equal_per_entry_path(self, metric, k, monkeypatch):
+        # Distances and the mirror and kernel tangents recomputed entry by
+        # entry with distance, log_map and whitened_log_map must give the
+        # same weights, flags and estimates, bit for bit.
+        rng = np.random.default_rng(50 + k)
+        d = make_dictionary(rng, k)
+        q = random_spd(rng, 3)
+        stacked = [estimate_downlink(d, q, s, metric) for s in SCHEMES]
+        monkeypatch.setattr(interp, "distances", per_entry_distances)
+        monkeypatch.setattr(interp, "log_maps", per_entry_log_maps)
+        fresh = make_dictionary(np.random.default_rng(50 + k), k)
+        for scheme, est in zip(SCHEMES, stacked):
+            assert same_estimate(est, estimate_downlink(fresh, q, scheme, metric))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("k", FITTED_SIZES)
+    def test_barycenter_of_downlinks_equals_list(self, metric, k):
+        rng = np.random.default_rng(60 + k)
+        d = make_dictionary(rng, k)
+        w = rng.uniform(0.1, 1.0, size=k)  # full support
+        w /= w.sum()
+        fitted = barycenter(metric, d.downlink_stack, w)
+        listed = barycenter(metric, list(d.downlinks), w)
+        assert np.array_equal(fitted.point.mat, listed.point.mat)
+        assert (fitted.converged, fitted.iterations, fitted.residual) == (
+            listed.converged, listed.iterations, listed.residual,
+        )
+        if metric is Metric.AFFINE_INVARIANT and k > 1:
+            assert fitted.converged and fitted.iterations > 0
+
+    def test_pickled_fitted_dictionary_gives_identical_estimates(self):
+        rng = np.random.default_rng(70)
+        d = make_dictionary(rng, _BLOCK + 6)
+        queries = [random_spd(rng, 3) for _ in range(2)]
+        cases = [(s, m) for s in SCHEMES for m in METRICS]
+        # every estimator has run, so all three stacks are filled
+        before = [estimate_downlink(d, queries[0], s, m) for s, m in cases]
+        clone = pickle.loads(pickle.dumps(d))
+        for q in queries:
+            for s, m in cases:
+                assert same_estimate(
+                    estimate_downlink(d, q, s, m), estimate_downlink(clone, q, s, m)
+                )
+        assert all(
+            same_estimate(b, estimate_downlink(clone, queries[0], s, m))
+            for b, (s, m) in zip(before, cases)
+        )
+
+
+class TestDictionaryWorkIsNotRedone:
+    @staticmethod
+    def count_eigh(monkeypatch) -> list[int]:
+        count = [0]
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, **kwargs):
+                count[0] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return count
+
+    def test_query_cost_does_not_grow_with_k(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        pairs = [(random_spd(rng, 3), random_spd(rng, 3)) for _ in range(40)]
+        queries = [random_spd(rng, 3) for _ in range(2)]
+        count = self.count_eigh(monkeypatch)
+        per_k = []
+        for k in (8, 40):
+            d = Dictionary(pairs[:k])
+            assert count[0] == 0  # nothing is fitted at construction
+            for scheme in (Scheme.nearest_neighbor(), Scheme.kernel()):
+                estimate_downlink(d, queries[0], scheme, Metric.LOG_EUCLIDEAN)
+            count[0] = 0
+            for scheme in (Scheme.nearest_neighbor(), Scheme.kernel()):
+                estimate_downlink(d, queries[1], scheme, Metric.LOG_EUCLIDEAN)
+            per_k.append(count[0])
+            count[0] = 0
+        # the query's own logs and the outputs' gates, not a sweep over K
+        assert per_k[0] == per_k[1]

@@ -14,10 +14,13 @@ from covcast.spd import (
     NotHermitianError,
     NotPositiveDefiniteError,
     SPDMatrix,
+    SPDStack,
     barycenter,
     distance,
+    distances,
     exp_map,
     log_map,
+    log_maps,
     matrix_exp,
     matrix_log,
     matrix_sqrt,
@@ -388,3 +391,115 @@ class TestBarycenter:
             numeric = spd._expm(numeric)
         closed = barycenter(metric, points, w).point.mat
         assert frob(closed - numeric) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Stacks: every stacked result is bitwise the per-matrix one
+
+# One point, fewer points than a block, and more than a block.
+STACK_SIZES = [1, 10, spd._BLOCK + 6]
+
+
+def random_stack(seed: int, k: int, n: int = 3) -> SPDStack:
+    rng = np.random.default_rng(seed)
+    return SPDStack(random_spd(rng, n, (1e-3, 10.0)) for _ in range(k))
+
+
+def karcher_weights(k: int) -> np.ndarray:
+    w = np.random.default_rng(k).uniform(0.1, 1.0, size=k)
+    return w / w.sum()
+
+
+class TestStack:
+    def test_sequence_of_its_points(self):
+        rng = np.random.default_rng(0)
+        points = [random_spd(rng, 3) for _ in range(4)]
+        stack = SPDStack(points)
+        assert len(stack) == 4 and stack.dim == 3
+        assert stack.points == tuple(points) and stack.points is stack.points
+        assert list(stack) == points and stack[2] is points[2]
+
+    def test_rejects_empty_and_mixed_dims(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError):
+            SPDStack([])
+        with pytest.raises(ValueError):
+            SPDStack([random_spd(rng, 3), random_spd(rng, 2)])
+
+    def test_stacks_are_computed_on_first_use_only(self, monkeypatch):
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: calls.append(a.shape) or real_eigh(a)
+        )
+        stack = random_stack(2, spd._BLOCK + 6)
+        assert calls == []
+        logs = stack.logs
+        # one stacked eigendecomposition per block
+        assert calls == [(spd._BLOCK, 3, 3), (6, 3, 3)]
+        assert stack.logs is logs and not logs.flags.writeable
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_logs_and_inverse_roots(self, k):
+        stack = random_stack(3, k)
+        for p, log_p, isq_p in zip(stack, stack.logs, stack.invsqrts):
+            assert np.array_equal(log_p, matrix_log(p).mat)
+            assert np.array_equal(isq_p, spd._sqrtm_invsqrtm(p.mat)[1])
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_distances(self, metric, k):
+        stack = random_stack(4, k)
+        q = random_spd(np.random.default_rng(5), 3)
+        expected = [distance(metric, p, q) for p in stack]
+        assert np.array_equal(distances(metric, stack, q), expected)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_log_maps(self, metric, k):
+        stack = random_stack(6, k)
+        q = random_spd(np.random.default_rng(7), 3)
+        idx = np.random.default_rng(8).permutation(k)
+        plain = log_maps(metric, q, stack, idx)
+        whitened = log_maps(metric, q, stack, idx, whitened=True)
+        for j, i in enumerate(idx):
+            assert np.array_equal(plain[j], log_map(metric, q, stack[i]).mat)
+            assert np.array_equal(whitened[j], whitened_log_map(metric, q, stack[i]).mat)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_barycenter_of_stack_equals_list(self, metric, k):
+        stack = random_stack(9, k)
+        w = karcher_weights(k)
+        if k > 1:
+            w[0] = 0.0  # a zero weight is left out
+            w /= w.sum()
+        from_stack = barycenter(metric, stack, w)
+        from_list = barycenter(metric, list(stack), w)
+        assert np.array_equal(from_stack.point.mat, from_list.point.mat)
+        assert from_stack.converged and from_list.converged
+        assert (from_stack.iterations, from_stack.residual) == (
+            from_list.iterations, from_list.residual,
+        )
+        if metric is Metric.AFFINE_INVARIANT and k > 1:
+            assert from_stack.iterations > 0
+
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_karcher_step_matches_per_point_sum(self, k, monkeypatch):
+        # With no iterations allowed the result is the log-Euclidean start
+        # and the residual is the first tangent mean, which a per-point
+        # loop of matrix logs must reproduce bitwise.
+        monkeypatch.setattr(spd, "KARCHER_MAX_ITER", 0)
+        stack = random_stack(10, k)
+        w = karcher_weights(k)
+        logs = np.stack([matrix_log(p).mat for p in stack])
+        start = spd._expm(np.tensordot(w, logs, axes=1))
+        _, isq = spd._sqrtm_invsqrtm(start)
+        tangent = np.zeros((3, 3), dtype=complex)
+        for wi, p in zip(w, stack):
+            tangent += wi * spd._logm(spd._hermitian_congruence(isq, p.mat))
+        result = barycenter(Metric.AFFINE_INVARIANT, stack, w)
+        assert result.iterations == 0
+        assert np.array_equal(result.point.mat, SPDMatrix(start).mat)
+        assert result.residual == frob(tangent)
