@@ -11,7 +11,7 @@ Subcommands:
   effective settings.
 
 ``--seed`` overrides the config's master_seed.  Exit code 0 on success,
-2 on config or I/O errors.
+2 on bad arguments (such as ``--workers 0``), config or I/O errors.
 """
 
 from __future__ import annotations
@@ -22,6 +22,17 @@ from dataclasses import replace
 
 from .config import ConfigError, format_config, parse_config
 from .harness import run_benchmark, strip_runtimes, summarize, timing_bench, emit_csv
+
+
+def _at_least_one(raw: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -43,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     run.add_argument("--out", required=True, help="output CSV path")
     run.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_at_least_one, default=1,
         help="parallel worker processes (default 1); results are identical "
         "for any worker count",
     )
@@ -55,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time each configured estimator")
     _add_common(bench)
     bench.add_argument(
-        "--calls", type=int, default=50, help="timed calls per estimator (default 50)"
+        "--calls", type=_at_least_one, default=50,
+        help="timed calls per estimator (default 50)",
     )
 
     validate = sub.add_parser("validate", help="parse and echo the effective config")

@@ -11,8 +11,9 @@ Lists are comma-separated.  Scheme entries take the form
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .baselines import BaselineKind
 from .channel import SPEED_OF_LIGHT, ArrayKind
@@ -149,30 +150,44 @@ def _split_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+def _list_of(parse_item):
+    return lambda raw: tuple(parse_item(item) for item in _split_list(raw))
+
+
+def _joined(format_item):
+    return lambda values: ", ".join(format_item(v) for v in values)
+
+
+def _scheme_token(entry: tuple[Scheme, Metric]) -> str:
+    scheme, metric = entry
+    return f"{scheme.label}:{metric.label}"
+
+
+# (parse, format) for each type a ScenarioConfig field declares.  Parsing
+# and formatting both dispatch on the field's type, so only the dataclass
+# names the fields.
+_CODECS = {
+    int: (int, str),
+    float: (float, repr),
+    float | None: (lambda raw: None if raw.lower() == "none" else float(raw), repr),
+    ArrayKind: (ArrayKind, lambda kind: kind.value),
+    tuple[int, ...]: (_list_of(int), _joined(str)),
+    tuple[tuple[Scheme, Metric], ...]: (
+        _list_of(_parse_scheme_entry), _joined(_scheme_token)
+    ),
+    tuple[BaselineKind, ...]: (_list_of(BaselineKind), _joined(lambda b: b.value)),
+}
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
+
+
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
     try:
-        if name in ("n_antennas", "n_scatterers", "n_realizations", "n_queries",
-                    "master_seed", "n_dictionary_redraws"):
-            return int(raw)
-        if name in ("ula_spacing", "square_side"):
-            return None if raw.lower() == "none" else float(raw)
-        if name in ("f_dl", "f_ul", "d_min", "d_max", "r_min", "r_max",
-                    "rx_power", "noise_power"):
-            return float(raw)
-        if name == "array_kind":
-            return ArrayKind(raw)
-        if name == "dict_sizes":
-            return tuple(int(item) for item in _split_list(raw))
-        if name == "schemes":
-            return tuple(_parse_scheme_entry(item) for item in _split_list(raw))
-        if name == "baselines":
-            return tuple(BaselineKind(item) for item in _split_list(raw))
+        return _CODECS[_FIELD_TYPES[name]][0](raw)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {name!r}: {raw!r} ({exc})") from None
-    raise AssertionError(f"unhandled config field {name!r}")
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -181,7 +196,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
     Blank lines and ``#`` comments are ignored; keys must be ScenarioConfig
     field names, each given at most once.  Omitted keys take their defaults.
     """
-    known = {f.name for f in fields(ScenarioConfig)}
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -191,7 +205,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -214,32 +228,12 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 
 
 def format_config(config: ScenarioConfig) -> str:
-    """Render the effective configuration in the config-file syntax."""
+    """Render the effective configuration in the config-file syntax.
 
-    def scheme_token(entry: tuple[Scheme, Metric]) -> str:
-        scheme, metric = entry
-        return f"{scheme.label}:{metric.label}"
-
-    lines = [
-        f"n_antennas = {config.n_antennas}",
-        f"array_kind = {config.array_kind.value}",
-        f"ula_spacing = {config.effective_ula_spacing!r}",
-        f"square_side = {config.effective_square_side!r}",
-        f"f_dl = {config.f_dl!r}",
-        f"f_ul = {config.f_ul!r}",
-        f"d_min = {config.d_min!r}",
-        f"d_max = {config.d_max!r}",
-        f"r_min = {config.r_min!r}",
-        f"r_max = {config.r_max!r}",
-        f"n_scatterers = {config.n_scatterers}",
-        f"n_realizations = {config.n_realizations}",
-        "dict_sizes = " + ", ".join(str(k) for k in config.dict_sizes),
-        f"n_queries = {config.n_queries}",
-        f"rx_power = {config.rx_power!r}",
-        f"noise_power = {config.noise_power!r}",
-        "schemes = " + ", ".join(scheme_token(s) for s in config.schemes),
-        "baselines = " + ", ".join(b.value for b in config.baselines),
-        f"master_seed = {config.master_seed}",
-        f"n_dictionary_redraws = {config.n_dictionary_redraws}",
-    ]
+    A field that may be None prints its ``effective_<name>`` value.
+    """
+    lines = []
+    for name, hint in _FIELD_TYPES.items():
+        value = getattr(config, f"effective_{name}" if hint == float | None else name)
+        lines.append(f"{name} = {_CODECS[hint][1](value)}")
     return "\n".join(lines) + "\n"

@@ -59,36 +59,25 @@ class Dictionary:
     All uplink matrices share one dimension and all downlink matrices share
     one (possibly different) dimension; the dictionary is never empty.
 
-    Each side is also held as an :class:`~covcast.spd.SPDStack`, whose
-    stacked logarithms and inverse square roots are the dictionary's fitted
-    coordinates: computed on first use, once per dictionary and process,
-    and read by every later query.
+    The dictionary is its two sides, each an :class:`~covcast.spd.SPDStack`
+    (which rejects mixed dimensions).  Their stacked matrices, logarithms
+    and inverse square roots are the dictionary's fitted coordinates:
+    computed on first use, once per dictionary and process, and read by
+    every later query.
     """
 
-    __slots__ = ("_pairs", "_uplinks", "_downlinks")
+    __slots__ = ("_uplinks", "_downlinks")
 
     def __init__(self, pairs: Iterable[tuple[SPDMatrix, SPDMatrix]]) -> None:
-        pairs = tuple((ul, dl) for ul, dl in pairs)
+        pairs = tuple(pairs)
         if not pairs:
             raise ValueError("dictionary must contain at least one pair")
-        n_r = pairs[0][0].dim
-        n_t = pairs[0][1].dim
-        for i, (ul, dl) in enumerate(pairs):
-            if ul.dim != n_r:
-                raise ValueError(
-                    f"uplink dimension mismatch at entry {i}: {ul.dim} vs {n_r}"
-                )
-            if dl.dim != n_t:
-                raise ValueError(
-                    f"downlink dimension mismatch at entry {i}: {dl.dim} vs {n_t}"
-                )
-        self._pairs = pairs
         self._uplinks = SPDStack(ul for ul, _ in pairs)
         self._downlinks = SPDStack(dl for _, dl in pairs)
 
     @property
     def pairs(self) -> tuple[tuple[SPDMatrix, SPDMatrix], ...]:
-        return self._pairs
+        return tuple(zip(self.uplinks, self.downlinks))
 
     @property
     def uplinks(self) -> tuple[SPDMatrix, ...]:
@@ -108,14 +97,14 @@ class Dictionary:
 
     @property
     def uplink_dim(self) -> int:
-        return self._pairs[0][0].dim
+        return self._uplinks.dim
 
     @property
     def downlink_dim(self) -> int:
-        return self._pairs[0][1].dim
+        return self._downlinks.dim
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._uplinks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

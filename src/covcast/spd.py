@@ -375,41 +375,45 @@ def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTan
 # ---------------------------------------------------------------------------
 # Fixed stacks of points
 
-# Stacked matrix functions run over blocks of at most this many matrices, so
-# their temporaries stay small whatever the number of points.
-_BLOCK = 64
 
-
-def _block_slices(n: int):
-    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class SPDStack(Sequence):
-    """Fixed sequence of positive-definite matrices of one dimension whose
-    logarithms and inverse square roots are stacked on first use.
+    """Fixed sequence of positive-definite matrices of one dimension, held as
+    one (k, n, n) array whose logarithms and inverse square roots are stacked
+    on first use.
 
-    Each stack is computed once per object, in this process, with the steps
+    Each array is computed once per object, in this process, with the steps
     of the per-matrix functions (:func:`matrix_log`, and the inverse root
     :func:`distance` whitens with), so every slice is bitwise what that
     function returns for its point.  Nothing is computed at construction, and
-    a stack that is never asked for is never built.  :func:`distances`,
-    :func:`log_maps` and :func:`barycenter` read the stacks.
+    an array that is never asked for is never built.  :func:`distances`,
+    :func:`log_maps` and :func:`barycenter` read the arrays.
 
     Raises
     ------
     ValueError
-        If there are no points or their dimensions differ.
+        If there are no points or their dimensions differ (the message names
+        the first offending entry).
     """
 
-    __slots__ = ("_points", "_logs", "_invsqrts")
+    __slots__ = ("_points", "_mats", "_logs", "_invsqrts")
 
     def __init__(self, points: Iterable[SPDMatrix]) -> None:
         points = tuple(points)
         if not points:
             raise ValueError("a stack requires at least one point")
-        for p in points[1:]:
-            _check_same_dim(points[0], p, "stack")
+        dim = points[0].dim
+        for i, p in enumerate(points):
+            if p.dim != dim:
+                raise ValueError(
+                    f"dimension mismatch in stack at entry {i}: {p.dim} vs {dim}"
+                )
         self._points = points
+        self._mats: np.ndarray | None = None
         self._logs: np.ndarray | None = None
         self._invsqrts: np.ndarray | None = None
 
@@ -428,31 +432,25 @@ class SPDStack(Sequence):
         return self._points[index]
 
     @property
+    def mats(self) -> np.ndarray:
+        """The points ``P_k`` themselves, shape (k, n, n), read-only."""
+        if self._mats is None:
+            self._mats = _read_only(np.stack([p.mat for p in self._points]))
+        return self._mats
+
+    @property
     def logs(self) -> np.ndarray:
         """``log P_k`` for every point, shape (k, n, n), read-only."""
         if self._logs is None:
-            self._logs = self._stacked(_logm)
+            self._logs = _read_only(_logm(self.mats))
         return self._logs
 
     @property
     def invsqrts(self) -> np.ndarray:
         """``P_k^{-1/2}`` for every point, shape (k, n, n), read-only."""
         if self._invsqrts is None:
-            self._invsqrts = self._stacked(lambda a: _sqrtm_invsqrtm(a)[1])
+            self._invsqrts = _read_only(_sqrtm_invsqrtm(self.mats)[1])
         return self._invsqrts
-
-    def mats(self, idx) -> np.ndarray:
-        """The points at ``idx`` (a slice or indices) stacked, shape (m, n, n)."""
-        if isinstance(idx, slice):
-            return np.array([p.mat for p in self._points[idx]])
-        return np.array([self._points[int(i)].mat for i in idx])
-
-    def _stacked(self, fn) -> np.ndarray:
-        out = np.empty((len(self), self.dim, self.dim), dtype=np.complex128)
-        for sel in _block_slices(len(self)):
-            out[sel] = fn(self.mats(sel))
-        out.setflags(write=False)
-        return out
 
 
 def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
@@ -463,17 +461,11 @@ def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
     each point's stacked inverse root.  ``x`` costs one logarithm at most.
     """
     _check_same_dim(points, x, "distances")
+    if metric is Metric.EUCLIDEAN:
+        return _frobs(points.mats - x.mat)
     if metric is Metric.LOG_EUCLIDEAN:
-        log_x = _logm(x.mat)
-    out = np.empty(len(points))
-    for sel in _block_slices(len(points)):
-        if metric is Metric.EUCLIDEAN:
-            out[sel] = _frobs(points.mats(sel) - x.mat)
-        elif metric is Metric.LOG_EUCLIDEAN:
-            out[sel] = _frobs(points.logs[sel] - log_x)
-        else:
-            out[sel] = _ai_distances(points.invsqrts[sel], x.mat)
-    return out
+        return _frobs(points.logs - _logm(x.mat))
+    return _ai_distances(points.invsqrts, x.mat)
 
 
 def log_maps(
@@ -484,24 +476,17 @@ def log_maps(
     Slice ``j`` is ``log_map(metric, x, points[idx[j]]).mat``, or with
     ``whitened`` the :func:`whitened_log_map` tangent.  ``x`` costs one
     eigendecomposition at most; the affine-invariant tangents take one
-    stacked congruence and one stacked logarithm per block of points.
+    stacked congruence and one stacked logarithm.
     """
     _check_same_dim(points, x, "log_maps")
     idx = np.asarray(idx, dtype=np.intp)
+    if metric is Metric.EUCLIDEAN:
+        return points.mats[idx] - x.mat
     if metric is Metric.LOG_EUCLIDEAN:
-        log_x = _logm(x.mat)
-    elif metric is Metric.AFFINE_INVARIANT:
-        sq, isq = _sqrtm_invsqrtm(x.mat)
-    out = np.empty((idx.size, x.dim, x.dim), dtype=np.complex128)
-    for sel in _block_slices(idx.size):
-        if metric is Metric.EUCLIDEAN:
-            out[sel] = points.mats(idx[sel]) - x.mat
-        elif metric is Metric.LOG_EUCLIDEAN:
-            out[sel] = points.logs[idx[sel]] - log_x
-        else:
-            inner = _logm(_hermitian_congruence(isq, points.mats(idx[sel])))
-            out[sel] = inner if whitened else _hermitian_congruence(sq, inner)
-    return out
+        return points.logs[idx] - _logm(x.mat)
+    sq, isq = _sqrtm_invsqrtm(x.mat)
+    inner = _logm(_hermitian_congruence(isq, points.mats[idx]))
+    return inner if whitened else _hermitian_congruence(sq, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +549,7 @@ def barycenter(
     ``KARCHER_STALL_LIMIT`` iterations, returning the best iterate as
     converged; or after ``KARCHER_MAX_ITER`` iterations, returning the best
     iterate as not converged.  Each iteration takes the logs of the whitened
-    points as one stacked eigendecomposition per block of up to 64 points
-    with nonzero weight.
+    points with nonzero weight as one stacked eigendecomposition.
 
     Parameters
     ----------
@@ -592,7 +576,7 @@ def barycenter(
     wa = w[active]
 
     if metric is Metric.EUCLIDEAN:
-        acc = np.tensordot(wa, points.mats(active), axes=1)
+        acc = np.tensordot(wa, points.mats[active], axes=1)
         return BarycenterResult(SPDMatrix(acc), True, 0, 0.0)
 
     log_mean = np.tensordot(wa, points.logs[active], axes=1)
@@ -600,7 +584,7 @@ def barycenter(
     if metric is Metric.LOG_EUCLIDEAN:
         return BarycenterResult(SPDMatrix(le_point), True, 0, 0.0)
 
-    mats = points.mats(active)
+    mats = points.mats[active]
     x = le_point
     iterations = 0
     best_residual = np.inf
@@ -611,11 +595,9 @@ def barycenter(
     while True:
         sq, isq = _sqrtm_invsqrtm(x)
         tangent = np.zeros((dim, dim), dtype=np.complex128)
-        for sel in _block_slices(active.size):
-            logs = _logm(_hermitian_congruence(isq, mats[sel]))
-            # summed in point order, as a per-point loop would
-            for wi, log_i in zip(wa[sel], logs):
-                tangent += wi * log_i
+        # summed in point order, as a per-point loop would
+        for wi, log_i in zip(wa, _logm(_hermitian_congruence(isq, mats))):
+            tangent += wi * log_i
         residual = _frob(tangent)
         if residual < KARCHER_TOL:
             return BarycenterResult(SPDMatrix(x), True, iterations, residual)

@@ -81,6 +81,15 @@ class TestRun:
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_zero_workers_is_a_usage_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config_path), "--out", str(out),
+                  "--workers", "0"])
+        assert exc.value.code == 2
+        assert "--workers: expected an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_echoes_effective_config(self, config_path, capsys):
@@ -103,6 +112,12 @@ class TestBench:
         assert "median" in out
         assert "nearest_neighbor/euclidean" in out
         assert "no_conversion" in out
+
+    def test_zero_calls_is_a_usage_error(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(config_path), "--calls", "0"])
+        assert exc.value.code == 2
+        assert "--calls: expected an integer >= 1" in capsys.readouterr().err
 
 
 class TestEntryPoint:

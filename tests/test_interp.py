@@ -35,7 +35,6 @@ from covcast.interp import (
     solve_simplex_qp,
 )
 from covcast.spd import (
-    _BLOCK,
     Metric,
     SPDMatrix,
     barycenter,
@@ -523,8 +522,8 @@ class TestEstimateDownlink:
 # ---------------------------------------------------------------------------
 # The fitted dictionary: stacked paths are bitwise the per-entry ones
 
-# One entry, fewer entries than a stacking block, and more than a block.
-FITTED_SIZES = [1, 10, _BLOCK + 6]
+# One entry, a few entries, and many.
+FITTED_SIZES = [1, 10, 70]
 SCHEMES = [Scheme.nearest_neighbor(), Scheme.mirror(), Scheme.kernel()]
 
 
@@ -589,7 +588,7 @@ class TestFittedDictionary:
 
     def test_pickled_fitted_dictionary_gives_identical_estimates(self):
         rng = np.random.default_rng(70)
-        d = make_dictionary(rng, _BLOCK + 6)
+        d = make_dictionary(rng, 70)
         queries = [random_spd(rng, 3) for _ in range(2)]
         cases = [(s, m) for s in SCHEMES for m in METRICS]
         # every estimator has run, so all three stacks are filled

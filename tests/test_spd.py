@@ -396,8 +396,8 @@ class TestBarycenter:
 # ---------------------------------------------------------------------------
 # Stacks: every stacked result is bitwise the per-matrix one
 
-# One point, fewer points than a block, and more than a block.
-STACK_SIZES = [1, 10, spd._BLOCK + 6]
+# One point, a few points, and many.
+STACK_SIZES = [1, 10, 70]
 
 
 def random_stack(seed: int, k: int, n: int = 3) -> SPDStack:
@@ -426,19 +426,72 @@ class TestStack:
         with pytest.raises(ValueError):
             SPDStack([random_spd(rng, 3), random_spd(rng, 2)])
 
+    def test_mixed_dims_name_the_entry(self):
+        rng = np.random.default_rng(1)
+        points = [random_spd(rng, 3), random_spd(rng, 3), random_spd(rng, 2)]
+        with pytest.raises(ValueError, match="at entry 2: 2 vs 3"):
+            SPDStack(points)
+
     def test_stacks_are_computed_on_first_use_only(self, monkeypatch):
         calls = []
         real_eigh = np.linalg.eigh
         monkeypatch.setattr(
             np.linalg, "eigh", lambda a: calls.append(a.shape) or real_eigh(a)
         )
-        stack = random_stack(2, spd._BLOCK + 6)
+        stack = random_stack(2, 70)
         assert calls == []
         logs = stack.logs
-        # one stacked eigendecomposition per block
-        assert calls == [(spd._BLOCK, 3, 3), (6, 3, 3)]
+        # one stacked eigendecomposition over the whole stack
+        assert calls == [(70, 3, 3)]
         assert stack.logs is logs and not logs.flags.writeable
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_points_are_one_read_only_array(self, monkeypatch):
+        stacked = []
+        real_stack = np.stack
+
+        def counted(arrays, *args, **kwargs):
+            stacked.append(len(arrays))
+            return real_stack(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "stack", counted)
+        points = [random_spd(np.random.default_rng(11), 3) for _ in range(5)]
+        stack = SPDStack(points)
+        assert stacked == []  # nothing is stacked before first use
+        mats = stack.mats
+        assert stacked == [5]
+        assert stack.mats is mats and stacked == [5]
+        assert not mats.flags.writeable
+        assert np.array_equal(mats, real_stack([p.mat for p in points]))
+
+    def test_each_stacked_step_is_one_decomposition(self, monkeypatch):
+        # logs, inverse roots, affine-invariant distances and one Karcher
+        # tangent each decompose all 70 points in a single stacked call.
+        stacked = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, _name=name, **kwargs):
+                if a.ndim == 3:
+                    stacked.append((_name, a.shape))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(spd, "KARCHER_MAX_ITER", 0)
+        stack = random_stack(12, 70)
+        q = random_spd(np.random.default_rng(13), 3)
+        w = karcher_weights(70)
+        # in this order, so the Karcher start reads the logs already taken
+        steps = [
+            ("eigh", lambda: stack.logs),
+            ("eigh", lambda: stack.invsqrts),
+            ("eigvalsh", lambda: distances(Metric.AFFINE_INVARIANT, stack, q)),
+            ("eigh", lambda: barycenter(Metric.AFFINE_INVARIANT, stack, w)),
+        ]
+        for name, step in steps:
+            stacked.clear()
+            step()
+            assert stacked == [(name, (70, 3, 3))]
 
     @pytest.mark.parametrize("k", STACK_SIZES)
     def test_logs_and_inverse_roots(self, k):
