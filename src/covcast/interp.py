@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .spd import (
+    KARCHER_TOL,
     BarycenterResult,
     Metric,
     SPDMatrix,
@@ -48,6 +49,7 @@ FLAG_KERNEL_UNDERFLOW = "kernel-underflow"
 FLAG_DEGENERATE_BANDWIDTH = "degenerate-bandwidth"
 FLAG_FLAT_BANDWIDTH = "flat-bandwidth"
 FLAG_KARCHER_NONCONVERGED = "karcher-nonconverged"
+FLAG_KARCHER_FLOOR = "karcher-floor"
 
 _BANDWIDTH_EVALS = 200
 _BANDWIDTH_SCAN_POINTS = 64
@@ -433,7 +435,10 @@ def estimate_downlink(
     Computes scheme weights from the uplink side (running the bandwidth
     search first for a kernel scheme without a fixed bandwidth), then returns
     the weighted barycenter of the dictionary downlink matrices under the
-    same metric.
+    same metric.  An affine-invariant barycenter is flagged
+    ``karcher-nonconverged`` when its Newton iteration stops at the cap, and
+    ``karcher-floor`` when it converged at the float64 noise floor, with a
+    residual between ``KARCHER_TOL`` and ``KARCHER_FLOOR_TOL``.
     """
     flags: tuple[str, ...] = ()
     if scheme.kind is SchemeKind.NEAREST_NEIGHBOR:
@@ -450,4 +455,7 @@ def estimate_downlink(
     result: BarycenterResult = barycenter(metric, dictionary.downlink_stack, weights.w)
     if not result.converged:
         flags = flags + (FLAG_KARCHER_NONCONVERGED,)
+    elif result.residual >= KARCHER_TOL:
+        # converged at the float64 noise floor, below KARCHER_FLOOR_TOL
+        flags = flags + (FLAG_KARCHER_FLOOR,)
     return DownlinkEstimate(result.point, weights, flags)

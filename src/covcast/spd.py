@@ -44,16 +44,17 @@ __all__ = [
 # Absolute tolerance for the Hermitian gate at construction.
 HERMITIAN_ATOL = 1e-12
 
-# Stopping rule for the Karcher (affine-invariant barycenter) iteration:
-# tangent-mean Frobenius norm below KARCHER_TOL, hard cap on iterations.
-# For badly conditioned inputs the residual bottoms out above KARCHER_TOL at
-# the float64 noise floor; once it is below KARCHER_FLOOR_TOL and stops
-# improving for KARCHER_STALL_LIMIT iterations, the best iterate is accepted
-# as the numerically attained fixed point.
+# Stopping rule for the Karcher (affine-invariant barycenter) Newton
+# iteration: tangent-mean Frobenius norm (the residual) below KARCHER_TOL,
+# hard cap on iterations.  For badly conditioned inputs the residual bottoms
+# out above KARCHER_TOL at the float64 noise floor; once it is below
+# KARCHER_FLOOR_TOL, a unit Newton step that fails to halve it ends the
+# iteration at the current iterate, accepted as the numerically attained mean.
 KARCHER_TOL = 1e-10
 KARCHER_FLOOR_TOL = 1e-8
-KARCHER_STALL_LIMIT = 5
 KARCHER_MAX_ITER = 200
+# Relative residual to which conjugate gradients solves each Newton system.
+_NEWTON_CG_RTOL = 1e-6
 
 
 class NotHermitianError(ValueError):
@@ -82,6 +83,22 @@ def _check_hermitian(mat: np.ndarray) -> np.ndarray:
             f"exceeds {HERMITIAN_ATOL:.0e}"
         )
     return (mat + mat.conj().T) / 2
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _restore_read_only(self, state) -> None:
+    """``__setstate__`` of the slotted types that hold read-only arrays.
+
+    Unpickled arrays come back writable; each is made read-only again, as
+    it was when first stored.
+    """
+    _, slots = state
+    for name, value in slots.items():
+        setattr(self, name, _read_only(value) if isinstance(value, np.ndarray) else value)
 
 
 class SPDMatrix:
@@ -113,8 +130,9 @@ class SPDMatrix:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: min eigenvalue = {eigmin:.3e}"
             )
-        mat.setflags(write=False)
-        self._mat = mat
+        self._mat = _read_only(mat)
+
+    __setstate__ = _restore_read_only
 
     @property
     def mat(self) -> np.ndarray:
@@ -139,9 +157,9 @@ class HermitianTangent:
     __slots__ = ("_mat",)
 
     def __init__(self, entries) -> None:
-        mat = _check_hermitian(_as_square_complex(entries))
-        mat.setflags(write=False)
-        self._mat = mat
+        self._mat = _read_only(_check_hermitian(_as_square_complex(entries)))
+
+    __setstate__ = _restore_read_only
 
     @property
     def mat(self) -> np.ndarray:
@@ -376,11 +394,6 @@ def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTan
 # Fixed stacks of points
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 class SPDStack(Sequence):
     """Fixed sequence of positive-definite matrices of one dimension, held as
     one (k, n, n) array whose logarithms and inverse square roots are stacked
@@ -416,6 +429,8 @@ class SPDStack(Sequence):
         self._mats: np.ndarray | None = None
         self._logs: np.ndarray | None = None
         self._invsqrts: np.ndarray | None = None
+
+    __setstate__ = _restore_read_only
 
     @property
     def points(self) -> tuple[SPDMatrix, ...]:
@@ -498,13 +513,13 @@ class BarycenterResult:
     """Weighted barycenter plus convergence diagnostics.
 
     ``converged`` is always True for the closed-form metrics.  For the
-    affine-invariant metric it is True when the Karcher iteration drove the
-    tangent-mean norm below ``KARCHER_TOL``, or when its best residual fell
-    below ``KARCHER_FLOOR_TOL`` and then failed to improve for
-    ``KARCHER_STALL_LIMIT`` iterations (the float64 noise floor; ``point``
-    and ``residual`` are then the best iterate's).  It is False when
-    ``KARCHER_MAX_ITER`` iterations pass without either, and ``point`` is
-    the best iterate seen.
+    affine-invariant metric it is True when the Newton iteration drove the
+    residual (the Frobenius norm of the whitened tangent mean) below
+    ``KARCHER_TOL``, or stopped at the float64 noise floor: the residual
+    was below ``KARCHER_FLOOR_TOL`` and a unit Newton step failed to halve
+    it, so ``point`` and ``residual`` are the iterate before that step.  It is
+    False when ``KARCHER_MAX_ITER`` iterations pass without either;
+    ``point`` is then the last accepted iterate.
     """
 
     point: SPDMatrix
@@ -525,6 +540,72 @@ def _check_weights(weights, n_points: int) -> np.ndarray:
     return w
 
 
+class _KarcherIterate:
+    """A Karcher iterate ``x`` with ``sq = x^{1/2}``, the factors ``u`` and
+    ``mu`` of ``x^{-1/2} R_i x^{-1/2} = u_i diag(e^{mu_i}) u_i^H``, the
+    tangent mean ``sum_i w_i u_i diag(mu_i) u_i^H`` and its Frobenius norm,
+    the residual."""
+
+    __slots__ = ("x", "sq", "u", "mu", "tangent", "residual")
+
+    def __init__(self, x: np.ndarray, mats: np.ndarray, w: np.ndarray) -> None:
+        self.x = x
+        self.sq, isq = _sqrtm_invsqrtm(x)
+        e, self.u = _eigh_sym(_hermitian_congruence(isq, mats))
+        _check_positive(e, "matrix logarithm undefined")
+        self.mu = np.log(e)
+        self.tangent = np.zeros(x.shape, dtype=np.complex128)
+        # summed in point order, as a per-point loop would
+        for wi, log_i in zip(w, _spectral(self.u, self.mu)):
+            self.tangent += wi * log_i
+        self.residual = _frob(self.tangent)
+
+
+def _karcher_hessian(u: np.ndarray, mu: np.ndarray, w: np.ndarray):
+    """Hessian of ``1/2 sum_i w_i d(X, R_i)^2`` at ``X`` in whitened tangent
+    coordinates (``V`` stands for the tangent ``X^{1/2} V X^{1/2}``), as a
+    map on Hermitian matrices:
+
+        ``V -> sum_i w_i U_i ((U_i^H V U_i) o Phi_i) U_i^H``,
+
+    where ``X^{-1/2} R_i X^{-1/2} = U_i diag(e^{mu_i}) U_i^H``,
+    ``Phi_i[j, k] = (d/2) coth(d/2)`` with ``d = mu_ij - mu_ik``, and
+    ``Phi_i`` is 1 where ``d = 0``.  Every ``Phi_i >= 1``, so ``H >= I``.
+    """
+    half = (mu[..., :, None] - mu[..., None, :]) / 2.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.where(half == 0.0, 1.0, half / np.tanh(half))
+    phi *= w[:, None, None]
+    uh = _ct(u)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return np.sum(u @ ((uh @ v @ u) * phi) @ uh, axis=0)
+
+    return apply
+
+
+def _conjugate_gradient(apply, b: np.ndarray) -> np.ndarray:
+    """Solve ``apply(v) = b`` for a positive-definite map on Hermitian
+    matrices (real inner product ``Re tr(A^H B)``) to relative residual
+    ``_NEWTON_CG_RTOL``, or for at most as many steps as the real dimension
+    of the space, where exact arithmetic would have solved it."""
+    v = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = np.vdot(r, r).real
+    stop = _NEWTON_CG_RTOL**2 * rr
+    for _ in range(b.size):
+        if rr <= stop:
+            break
+        hp = apply(p)
+        alpha = rr / np.vdot(p, hp).real
+        v += alpha * p
+        r -= alpha * hp
+        rr, rr_prev = np.vdot(r, r).real, rr
+        p = r + (rr / rr_prev) * p
+    return v
+
+
 def barycenter(
     metric: Metric,
     points: SPDStack | Sequence[SPDMatrix] | Iterable[SPDMatrix],
@@ -535,21 +616,28 @@ def barycenter(
     Minimizes ``sum_i w_i d(R_i, Y)^2`` over the cone.  The Euclidean and
     log-Euclidean barycenters have closed forms (``sum w_i R_i`` and
     ``exp(sum w_i log R_i)``).  The affine-invariant barycenter is computed
-    by the damped Karcher fixed-point iteration
+    by Riemannian Newton iteration (Ferreira, Xavier, Costeira & Barroso
+    2013; Jeuris, Vandebril & Vandereycken 2012), initialized at the
+    log-Euclidean barycenter.  At the iterate ``X`` one stacked
+    eigendecomposition ``X^{-1/2} R_i X^{-1/2} = U_i diag(e^{mu_i}) U_i^H``
+    of the points with nonzero weight gives the whitened tangent mean
+    ``T = sum_i w_i U_i diag(mu_i) U_i^H`` (the negative gradient; its
+    Frobenius norm is the residual) and the Hessian ``H`` (see
+    :func:`_karcher_hessian`).  Conjugate gradients solves ``H V = T`` and
+    the step is
 
-        ``X <- X^{1/2} exp(t sum_i w_i log(X^{-1/2} R_i X^{-1/2})) X^{1/2}``
+        ``X <- X^{1/2} exp(t V) X^{1/2}``,
 
-    initialized at the log-Euclidean barycenter with step ``t = 1``.  The
-    step halves (down to ``2^-10``) whenever the tangent-mean Frobenius norm
-    (the residual) grows from one iteration to the next, which breaks the
-    limit cycles a unit step can fall into on widely spread points.  The
-    iteration stops when the residual drops below ``KARCHER_TOL``; or, at
-    the float64 noise floor of badly conditioned points, once the best
-    residual is below ``KARCHER_FLOOR_TOL`` and has not improved for
-    ``KARCHER_STALL_LIMIT`` iterations, returning the best iterate as
-    converged; or after ``KARCHER_MAX_ITER`` iterations, returning the best
-    iterate as not converged.  Each iteration takes the logs of the whitened
-    points with nonzero weight as one stacked eigendecomposition.
+    with ``t = 1`` halved until the step shrinks the residual by the factor
+    ``1 - t/2`` (a unit step must halve it).  This sufficient decrease of
+    the residual breaks the two-cycles a full Newton step can fall into far
+    from the mean, and unlike the objective the residual is not swamped by
+    round-off near the mean.  The iteration stops when the residual drops
+    below ``KARCHER_TOL``; or, at the float64 noise floor of badly
+    conditioned points, when the residual is below ``KARCHER_FLOOR_TOL`` and
+    a unit step fails to halve it, returning the iterate before that step as
+    converged; or after ``KARCHER_MAX_ITER`` iterations (every trial step
+    counts as one), returning the last accepted iterate as not converged.
 
     Parameters
     ----------
@@ -568,7 +656,6 @@ def barycenter(
     """
     if not isinstance(points, SPDStack):
         points = SPDStack(points)
-    dim = points.dim
     w = _check_weights(weights, len(points))
 
     # Zero-weight points cannot move the barycenter and are left out.
@@ -585,37 +672,22 @@ def barycenter(
         return BarycenterResult(SPDMatrix(le_point), True, 0, 0.0)
 
     mats = points.mats[active]
-    x = le_point
+    here = _KarcherIterate(le_point, mats, wa)
     iterations = 0
-    best_residual = np.inf
-    best_x = x
-    stall = 0
-    step = 1.0
-    prev_residual = np.inf
-    while True:
-        sq, isq = _sqrtm_invsqrtm(x)
-        tangent = np.zeros((dim, dim), dtype=np.complex128)
-        # summed in point order, as a per-point loop would
-        for wi, log_i in zip(wa, _logm(_hermitian_congruence(isq, mats))):
-            tangent += wi * log_i
-        residual = _frob(tangent)
-        if residual < KARCHER_TOL:
-            return BarycenterResult(SPDMatrix(x), True, iterations, residual)
-        if residual < best_residual:
-            best_residual, best_x, stall = residual, x, 0
-        else:
-            stall += 1
-        if best_residual < KARCHER_FLOOR_TOL and stall >= KARCHER_STALL_LIMIT:
-            # round-off noise floor: the fixed point is attained to the
-            # accuracy float64 permits for this conditioning
-            return BarycenterResult(SPDMatrix(best_x), True, iterations, best_residual)
-        if iterations >= KARCHER_MAX_ITER:
-            return BarycenterResult(SPDMatrix(best_x), False, iterations, best_residual)
-        if residual > prev_residual:
-            # unit step can settle into a limit cycle on widely spread
-            # ensembles; damping restores contraction without moving the
-            # fixed point
-            step = max(step / 2.0, 2.0**-10)
-        x = _hermitian_congruence(sq, _expm(step * tangent))
-        prev_residual = residual
-        iterations += 1
+    while here.residual >= KARCHER_TOL:
+        step = _conjugate_gradient(_karcher_hessian(here.u, here.mu, wa), here.tangent)
+        t = 1.0
+        while True:
+            if iterations >= KARCHER_MAX_ITER:
+                return BarycenterResult(SPDMatrix(here.x), False, iterations, here.residual)
+            iterations += 1
+            trial = _KarcherIterate(_hermitian_congruence(here.sq, _expm(t * step)), mats, wa)
+            if trial.residual <= (1.0 - t / 2.0) * here.residual or trial.residual < KARCHER_TOL:
+                break
+            if here.residual < KARCHER_FLOOR_TOL:
+                # round-off noise floor: the mean is attained to the accuracy
+                # float64 permits for this conditioning
+                return BarycenterResult(SPDMatrix(here.x), True, iterations, here.residual)
+            t /= 2.0
+        here = trial
+    return BarycenterResult(SPDMatrix(here.x), True, iterations, here.residual)

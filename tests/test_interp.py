@@ -22,6 +22,8 @@ import covcast.interp as interp
 from covcast.interp import (
     FLAG_DEGENERATE_BANDWIDTH,
     FLAG_FLAT_BANDWIDTH,
+    FLAG_KARCHER_FLOOR,
+    FLAG_KARCHER_NONCONVERGED,
     FLAG_KERNEL_UNDERFLOW,
     Dictionary,
     Scheme,
@@ -35,6 +37,7 @@ from covcast.interp import (
     solve_simplex_qp,
 )
 from covcast.spd import (
+    KARCHER_TOL,
     Metric,
     SPDMatrix,
     barycenter,
@@ -517,6 +520,24 @@ class TestEstimateDownlink:
         assert frob(e0.covariance.mat - e1.covariance.mat) < 1e-9
         if scheme.kind is not SchemeKind.MIRROR:
             assert np.allclose(e0.weights.w[perm], e1.weights.w, atol=1e-12)
+
+    def test_karcher_floor_flag(self):
+        # desk_ula.cfg, K=50: some mirror/AI means stop at the float64 noise
+        # floor (trial 2 among them); exactly those carry the floor flag.
+        config = parse_config(CONFIG_DIR / "desk_ula.cfg")
+        geometry = make_geometry(config)
+        rng = _rng(config.master_seed, _TAG_DICTIONARY, 50, 0)
+        d = build_dictionary(config, 50, rng, geometry)
+        floored = []
+        for trial in range(4):
+            q = _build_case(config, geometry, 50, trial).query_ul
+            est = estimate_downlink(d, q, Scheme.mirror(), Metric.AFFINE_INVARIANT)
+            result = barycenter(Metric.AFFINE_INVARIANT, d.downlink_stack, est.weights.w)
+            assert result.converged and FLAG_KARCHER_NONCONVERGED not in est.flags
+            at_floor = result.residual >= KARCHER_TOL
+            assert (FLAG_KARCHER_FLOOR in est.flags) == at_floor
+            floored.append(at_floor)
+        assert any(floored)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Geometry of the HPD cone: matrix functions, metrics, maps, barycenters."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -394,6 +396,104 @@ class TestBarycenter:
 
 
 # ---------------------------------------------------------------------------
+# Riemannian Newton for the affine-invariant barycenter
+
+
+def spread_ensemble(seed: int, k: int = 8, n: int = 10):
+    """Points with eigenvalues spread over 1e-9...1e-3 and Dirichlet(0.05)
+    weights: most of the mass on two or three far-apart points."""
+    rng = np.random.default_rng(seed)
+    points = [random_spd(rng, n, (1e-9, 1e-3)) for _ in range(k)]
+    return points, rng.dirichlet(np.full(k, 0.05))
+
+
+def karcher_objective(y: np.ndarray, points, w) -> float:
+    """1/2 sum_i w_i d(Y, R_i)^2 through the public distance."""
+    y = SPDMatrix(y)
+    return 0.5 * sum(
+        wi * distance(Metric.AFFINE_INVARIANT, y, p) ** 2 for wi, p in zip(w, points)
+    )
+
+
+class TestNewton:
+    def test_hessian_matches_finite_difference(self):
+        # <U, H[V]> is the mixed second derivative of the objective along
+        # whitened directions, s, t -> X^{1/2} exp(sU + tV) X^{1/2}.
+        rng = np.random.default_rng(30)
+        points = [random_spd(rng, 4) for _ in range(3)]
+        w = np.array([0.5, 0.3, 0.2])
+        x = random_spd(rng, 4).mat
+        here = spd._KarcherIterate(x, np.stack([p.mat for p in points]), w)
+        hessian = spd._karcher_hessian(here.u, here.mu, w)
+        sq = here.sq
+        h = 1e-4
+
+        def g(a):
+            return karcher_objective(spd._hermitian_congruence(sq, spd._expm(a)), points, w)
+
+        for _ in range(4):
+            u = random_hermitian(rng, 4).mat
+            v = random_hermitian(rng, 4).mat
+            exact = np.vdot(u, hessian(v)).real
+            fd = (
+                g(h * (u + v)) - g(h * (u - v)) - g(h * (v - u)) + g(-h * (u + v))
+            ) / (4 * h * h)
+            assert abs(fd - exact) <= 1e-6 * abs(exact)
+
+    def test_hessian_is_at_least_identity(self):
+        points, w = spread_ensemble(3, n=5)
+        mats = np.stack([p.mat for p in points])
+        here = spd._KarcherIterate(np.eye(5, dtype=complex) * 1e-6, mats, w)
+        hessian = spd._karcher_hessian(here.u, here.mu, w)
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            v = random_hermitian(rng, 5).mat
+            assert np.vdot(v, hessian(v)).real >= np.vdot(v, v).real * (1 - 1e-12)
+
+    # On seeds 0, 21, 23, 29 and 31 a damped fixed-point iteration (the
+    # unit Karcher step, halved whenever the residual grows) is still above
+    # the floor after 200 iterations.
+    @pytest.mark.parametrize("seed", range(32))
+    def test_spread_ensembles_converge(self, seed):
+        points, w = spread_ensemble(seed)
+        result = barycenter(Metric.AFFINE_INVARIANT, points, w)
+        assert result.converged
+        assert result.iterations <= 30
+        assert result.residual < spd.KARCHER_FLOOR_TOL
+        _, isq = spd._sqrtm_invsqrtm(result.point.mat)
+        tangent = sum(wi * spd._logm(isq @ p.mat @ isq) for wi, p in zip(w, points))
+        assert frob(tangent) < spd.KARCHER_FLOOR_TOL
+
+    def test_step_failing_at_the_floor_is_converged(self, monkeypatch):
+        # With KARCHER_TOL = 0 the residual can never pass the tolerance, so
+        # the iteration must end at the noise floor, not at the cap.
+        monkeypatch.setattr(spd, "KARCHER_TOL", 0.0)
+        points, w = spread_ensemble(2)
+        result = barycenter(Metric.AFFINE_INVARIANT, points, w)
+        assert result.converged
+        assert result.iterations < spd.KARCHER_MAX_ITER
+        assert 0.0 < result.residual < spd.KARCHER_FLOOR_TOL
+
+    def test_floor_stop_returns_the_iterate_before_the_failed_step(self, monkeypatch):
+        iterates = []
+        real = spd._KarcherIterate
+
+        def recorded(x, mats, w):
+            iterates.append(real(x, mats, w))
+            return iterates[-1]
+
+        monkeypatch.setattr(spd, "_KarcherIterate", recorded)
+        points, w = spread_ensemble(2)
+        result = barycenter(Metric.AFFINE_INVARIANT, points, w)
+        assert result.converged and result.residual >= spd.KARCHER_TOL
+        before, failed = iterates[-2], iterates[-1]
+        assert np.array_equal(result.point.mat, SPDMatrix(before.x).mat)
+        assert result.residual == before.residual < spd.KARCHER_FLOOR_TOL
+        assert failed.residual > before.residual / 2
+        assert result.iterations == len(iterates) - 1
+
+
+# ---------------------------------------------------------------------------
 # Stacks: every stacked result is bitwise the per-matrix one
 
 # One point, a few points, and many.
@@ -492,6 +592,22 @@ class TestStack:
             stacked.clear()
             step()
             assert stacked == [(name, (70, 3, 3))]
+
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_pickled_arrays_stay_read_only(self, filled):
+        stack = random_stack(14, 4)
+        if filled:
+            stack.logs, stack.invsqrts
+        clone = pickle.loads(pickle.dumps(stack))
+        for original, copy in [(p.mat, c.mat) for p, c in zip(stack, clone)] + [
+            (stack.mats, clone.mats),
+            (stack.logs, clone.logs),
+            (stack.invsqrts, clone.invsqrts),
+        ]:
+            assert np.array_equal(copy, original)
+            assert not copy.flags.writeable
+        tangent = pickle.loads(pickle.dumps(random_hermitian(np.random.default_rng(15), 3)))
+        assert not tangent.mat.flags.writeable
 
     @pytest.mark.parametrize("k", STACK_SIZES)
     def test_logs_and_inverse_roots(self, k):
