@@ -336,23 +336,20 @@ def kernel_weights(
     return WeightVector(raw / raw.sum()), ()
 
 
-def _bandwidth_objective_factory(tangents: np.ndarray, d: np.ndarray):
-    """Objective ``sigma -> ||sum_k w_k(sigma) T_k||_F`` with kernel weights.
+def _kernel_tangent_norms(rows: np.ndarray, half_d2: np.ndarray, log_sigma):
+    """``||sum_k w_k(sigma) T_k||_F`` at each ``log_sigma``, with kernel weights.
 
-    Weights are evaluated in log space (max-subtracted) so the objective
-    stays finite over the whole search bracket even where the raw Gaussian
-    kernel underflows.
+    ``rows`` holds the tangents ``T_k`` in real coordinates, one ``(2 n^2,)``
+    row each, so the Frobenius norm of a weighted tangent sum is the 2-norm
+    of the same weighted sum of rows.  ``half_d2`` is ``(d_k^2 - d_0^2) / 2``
+    for the distance-sorted entries: every logit is at most 0 and the nearest
+    one is exactly 0, so the kernel sum is at least 1 over the whole search
+    bracket, even where the raw Gaussian kernel underflows.  An array of
+    ``m`` bandwidths is one ``(m, K)`` by ``(K, 2 n^2)`` matrix product; a
+    scalar is one matrix-vector product.
     """
-    d2 = d**2
-
-    def objective(log_sigma: float) -> float:
-        logits = -d2 / (2.0 * np.exp(2.0 * log_sigma))
-        logits -= logits.max()
-        w = np.exp(logits)
-        w /= w.sum()
-        return float(np.linalg.norm(np.tensordot(w, tangents, axes=1), "fro"))
-
-    return objective
+    kernel = np.exp(np.multiply.outer(-np.exp(-2.0 * np.asarray(log_sigma)), half_d2))
+    return np.linalg.norm(kernel @ rows, axis=-1) / kernel.sum(axis=-1)
 
 
 def select_bandwidth(
@@ -365,8 +362,17 @@ def select_bandwidth(
     weights over the full dictionary.  The search runs on ``log sigma`` over
     ``[ln(d_min/10), ln(10 d_max)]`` (``d_min``/``d_max`` the smallest
     nonzero and largest dictionary distances to the query) with a fixed
-    budget of 200 objective evaluations: a coarse scan locates the best
+    budget of 200 objective evaluations: a 64-point scan locates the best
     bracket, golden-section refines within it.  Deterministic.
+
+    The tangents are stacked once, in distance order, as the real
+    ``(K, 2 n^2)`` view of their complex entries (see
+    :func:`_kernel_tangent_norms`).  The scan's 64 objective values are one
+    matrix product of their ``(64, K)`` kernel weights with these rows; each
+    golden-section step is one real matrix-vector product.  The canonical
+    (distance-sorted) accumulation order makes the objective, and hence the
+    selected bandwidth, invariant under dictionary permutation down to the
+    bit level.
 
     Degenerate cases are flagged rather than guessed: if every distance is
     zero there is nothing to tune (``degenerate-bandwidth``); if the
@@ -382,18 +388,17 @@ def select_bandwidth(
     if nonzero.size == 0:
         return 1.0, (FLAG_DEGENERATE_BANDWIDTH,)
 
-    # Canonical (distance-sorted) accumulation order makes the objective,
-    # and hence the selected bandwidth, invariant under dictionary
-    # permutation down to the bit level.
     order = np.argsort(d, kind="stable")
     tangents = log_maps(metric, query, dictionary.uplink_stack, order)
-    objective = _bandwidth_objective_factory(tangents, d[order])
+    rows = tangents.reshape(order.size, -1).view(np.float64)
+    d2 = d[order] ** 2
+    half_d2 = (d2 - d2[0]) / 2.0
 
     lo = float(np.log(nonzero.min() / 10.0))
     hi = float(np.log(10.0 * d.max()))
 
     xs = np.linspace(lo, hi, _BANDWIDTH_SCAN_POINTS)
-    js = np.array([objective(x) for x in xs])
+    js = _kernel_tangent_norms(rows, half_d2, xs)
     best = int(np.argmin(js))
 
     flat = (js.max() - js.min()) <= 1e-12 * max(1.0, float(js.max()))
@@ -403,7 +408,7 @@ def select_bandwidth(
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, xs.size - 1)]
     budget = _BANDWIDTH_EVALS - _BANDWIDTH_SCAN_POINTS
-    x_star = _golden_section(objective, a, b, budget)
+    x_star = _golden_section(lambda x: _kernel_tangent_norms(rows, half_d2, x), a, b, budget)
     return float(np.exp(x_star)), ()
 
 

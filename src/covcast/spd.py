@@ -495,10 +495,16 @@ def log_maps(
     """
     _check_same_dim(points, x, "log_maps")
     idx = np.asarray(idx, dtype=np.intp)
+    # The flat metrics subtract in place from the gathered copy, so each
+    # query allocates one (k, n, n) array, not two.
     if metric is Metric.EUCLIDEAN:
-        return points.mats[idx] - x.mat
+        tangents = points.mats[idx]
+        tangents -= x.mat
+        return tangents
     if metric is Metric.LOG_EUCLIDEAN:
-        return points.logs[idx] - _logm(x.mat)
+        tangents = points.logs[idx]
+        tangents -= _logm(x.mat)
+        return tangents
     sq, isq = _sqrtm_invsqrtm(x.mat)
     inner = _logm(_hermitian_congruence(isq, points.mats[idx]))
     return inner if whitened else _hermitian_congruence(sq, inner)
@@ -613,7 +619,9 @@ def barycenter(
 ) -> BarycenterResult:
     """Weighted barycenter (Fréchet mean) of positive-definite matrices.
 
-    Minimizes ``sum_i w_i d(R_i, Y)^2`` over the cone.  The Euclidean and
+    Minimizes ``sum_i w_i d(R_i, Y)^2`` over the cone.  With one positive
+    weight the mean is that point itself, returned as stored for every
+    metric (converged, 0 iterations, residual 0).  The Euclidean and
     log-Euclidean barycenters have closed forms (``sum w_i R_i`` and
     ``exp(sum w_i log R_i)``).  The affine-invariant barycenter is computed
     by Riemannian Newton iteration (Ferreira, Xavier, Costeira & Barroso
@@ -660,6 +668,9 @@ def barycenter(
 
     # Zero-weight points cannot move the barycenter and are left out.
     active = np.flatnonzero(w > 0.0)
+    if active.size == 1:
+        # the mean of one point is that point, under every metric
+        return BarycenterResult(points[int(active[0])], True, 0, 0.0)
     wa = w[active]
 
     if metric is Metric.EUCLIDEAN:

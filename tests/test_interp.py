@@ -73,6 +73,16 @@ def make_dictionary(rng, k: int, n_ul: int = 3, n_dl: int = 3) -> Dictionary:
     )
 
 
+@pytest.fixture(scope="module")
+def desk_ula_case():
+    """desk_ula.cfg's K=50 dictionary and the uplink query of trial 0."""
+    config = parse_config(CONFIG_DIR / "desk_ula.cfg")
+    geometry = make_geometry(config)
+    rng = _rng(config.master_seed, _TAG_DICTIONARY, 50, 0)
+    d = build_dictionary(config, 50, rng, geometry)
+    return d, _build_case(config, geometry, 50, 0).query_ul
+
+
 # ---------------------------------------------------------------------------
 # Types
 
@@ -449,6 +459,53 @@ class TestSelectBandwidth:
         grid_best = min(objective(s) for s in grid)
         assert objective(sigma) <= grid_best + 1e-9
 
+    # desk_ula.cfg, K=50, trial 0: a realistic query for the search's
+    # arithmetic, which random 3x3 dictionaries exercise only lightly.
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_scan_matches_single_bandwidth_objective(self, desk_ula_case, metric, monkeypatch):
+        d, q = desk_ula_case
+        norms = interp._kernel_tangent_norms
+        calls = []
+
+        def recording(rows, half_d2, log_sigma):
+            value = norms(rows, half_d2, log_sigma)
+            calls.append((rows, half_d2, log_sigma, value))
+            return value
+
+        monkeypatch.setattr(interp, "_kernel_tangent_norms", recording)
+        _, flags = select_bandwidth(d, q, metric)
+        assert flags == ()
+        rows, half_d2, xs, scan = calls[0]
+        assert xs.shape == scan.shape == (64,)
+        assert 3 <= len(calls) <= 1 + 136  # the scan, then one row per golden step
+        assert all(np.ndim(x) == 0 for _, _, x, _ in calls[1:])
+
+        # one matrix-vector product per bandwidth
+        single = np.array([norms(rows, half_d2, x) for x in xs])
+        np.testing.assert_allclose(scan, single, rtol=1e-12, atol=0.0)
+
+        # and the complex tangent mean with max-subtracted kernel weights
+        dists = np.array([distance(metric, ul, q) for ul in d.uplinks])
+        tangents = np.stack([log_map(metric, q, ul).mat for ul in d.uplinks])
+
+        def objective(x):
+            logits = -(dists**2) / (2.0 * np.exp(2.0 * x))
+            w = np.exp(logits - logits.max())
+            return np.linalg.norm(np.tensordot(w / w.sum(), tangents, axes=1), "fro")
+
+        reference = np.array([objective(x) for x in xs])
+        np.testing.assert_allclose(scan, reference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_permuted_dictionary_gives_the_same_bits(self, desk_ula_case, metric):
+        d, q = desk_ula_case
+        perm = np.random.default_rng(26).permutation(len(d))
+        shuffled = Dictionary([d.pairs[i] for i in perm])
+        sigma, flags = select_bandwidth(d, q, metric)
+        sigma_p, flags_p = select_bandwidth(shuffled, q, metric)
+        assert sigma_p.hex() == sigma.hex()
+        assert flags_p == flags
+
 
 # ---------------------------------------------------------------------------
 # End-to-end estimation
@@ -462,6 +519,15 @@ class TestEstimateDownlink:
         q, r_dl = pairs[1]
         est = estimate_downlink(d, q, Scheme.nearest_neighbor(), Metric.AFFINE_INVARIANT)
         assert frob(est.covariance.mat - r_dl.mat) < 1e-10
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_nearest_neighbor_is_the_stored_downlink(self, metric):
+        rng = np.random.default_rng(27)
+        d = make_dictionary(rng, 6)
+        est = estimate_downlink(d, random_spd(rng, 3), Scheme.nearest_neighbor(), metric)
+        (i,) = est.weights.support
+        assert np.array_equal(est.covariance.mat, d.downlinks[i].mat)
+        assert est.flags == ()
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize(

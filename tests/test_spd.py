@@ -288,6 +288,14 @@ class TestBarycenter:
         assert result.converged
         assert frob(result.point.mat - x.mat) < 1e-10
 
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_one_positive_weight_returns_the_stored_point(self, metric):
+        rng = np.random.default_rng(5)
+        stack = SPDStack(random_spd(rng, 4) for _ in range(3))
+        result = barycenter(metric, stack, [0.0, 1.0, 0.0])
+        assert result.point is stack[1]
+        assert (result.converged, result.iterations, result.residual) == (True, 0, 0.0)
+
     def test_euclidean_pair(self):
         x = SPDMatrix(np.eye(3))
         y = SPDMatrix(3 * np.eye(3))
@@ -654,7 +662,8 @@ class TestStack:
         if metric is Metric.AFFINE_INVARIANT and k > 1:
             assert from_stack.iterations > 0
 
-    @pytest.mark.parametrize("k", STACK_SIZES)
+    # A one-point mean is its point, with no Karcher start to compare.
+    @pytest.mark.parametrize("k", [k for k in STACK_SIZES if k > 1])
     def test_karcher_step_matches_per_point_sum(self, k, monkeypatch):
         # With no iterations allowed the result is the log-Euclidean start
         # and the residual is the first tangent mean, which a per-point
