@@ -49,7 +49,6 @@ from .interp import (
     SchemeKind,
     WeightVector,
     estimate_downlink,
-    kernel_weights,
     mirror_weights,
     nearest_neighbor_weights,
     select_bandwidth,

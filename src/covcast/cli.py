@@ -90,10 +90,11 @@ def _cmd_run(args) -> int:
         records = strip_runtimes(records)
     emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
+    trials = config.n_queries * config.n_dictionary_redraws  # per cell
     for (estimator, metric, k), cell in sorted(summarize(records).items()):
         label = f"{estimator}/{metric}" if metric else estimator
         if cell.count == 0:
-            print(f"  K={k:<5d} {label:<35s} all {config.n_queries} trials failed")
+            print(f"  K={k:<5d} {label:<35s} all {trials} trials failed")
         else:
             print(f"  K={k:<5d} {label:<35s} mean mse = {cell.mean_mse:.6g}  (n={cell.count})")
     return 0

@@ -4,9 +4,9 @@ A scenario is described by a flat ``key = value`` text file whose keys are
 exactly the :class:`ScenarioConfig` field names; unknown keys are errors.
 Lists are comma-separated.  Scheme entries take the form
 ``<scheme>:<metric>`` where scheme is one of ``nearest_neighbor``,
-``mirror``, ``kernel`` (per-query bandwidth search) or ``kernel@<sigma>``
-(fixed bandwidth), and metric is one of ``euclidean``, ``log_euclidean``,
-``affine_invariant``.
+``mirror`` or ``kernel`` (per-query bandwidth search), and metric is one of
+``euclidean``, ``log_euclidean``, ``affine_invariant``.  No list may repeat
+an entry.
 """
 
 from __future__ import annotations
@@ -99,6 +99,12 @@ class ScenarioConfig:
             raise ConfigError("n_dictionary_redraws must be >= 1")
         if not self.schemes and not self.baselines:
             raise ConfigError("configure at least one scheme or baseline")
+        for name in ("dict_sizes", "schemes", "baselines"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                shown = _CODECS[_FIELD_TYPES[name]][1](repeated[:1])
+                raise ConfigError(f"{name} lists {shown} more than once")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
 
@@ -133,12 +139,6 @@ def _parse_scheme_entry(token: str) -> tuple[Scheme, Metric]:
     except ValueError:
         raise ConfigError(f"unknown metric {metric_part.strip()!r}") from None
     scheme_part = scheme_part.strip()
-    if scheme_part.startswith("kernel@"):
-        try:
-            bandwidth = float(scheme_part.removeprefix("kernel@"))
-        except ValueError:
-            raise ConfigError(f"bad kernel bandwidth in {token!r}") from None
-        return Scheme.kernel(bandwidth), metric
     try:
         kind = SchemeKind(scheme_part)
     except ValueError:

@@ -37,7 +37,6 @@ __all__ = [
     "SchemeKind",
     "WeightVector",
     "estimate_downlink",
-    "kernel_weights",
     "mirror_weights",
     "nearest_neighbor_weights",
     "select_bandwidth",
@@ -45,7 +44,6 @@ __all__ = [
 ]
 
 # Diagnostic flag strings surfaced to the benchmark harness.
-FLAG_KERNEL_UNDERFLOW = "kernel-underflow"
 FLAG_DEGENERATE_BANDWIDTH = "degenerate-bandwidth"
 FLAG_FLAT_BANDWIDTH = "flat-bandwidth"
 FLAG_KARCHER_NONCONVERGED = "karcher-nonconverged"
@@ -161,18 +159,10 @@ class SchemeKind(Enum):
 
 @dataclass(frozen=True)
 class Scheme:
-    """Weight-selection scheme; the kernel scheme optionally carries a fixed
-    bandwidth (otherwise the bandwidth is searched per query)."""
+    """Weight-selection scheme; the kernel scheme searches its bandwidth per
+    query (:func:`select_bandwidth`)."""
 
     kind: SchemeKind
-    bandwidth: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.bandwidth is not None:
-            if self.kind is not SchemeKind.KERNEL:
-                raise ValueError("bandwidth is only meaningful for the kernel scheme")
-            if not self.bandwidth > 0.0:
-                raise ValueError("bandwidth must be positive")
 
     @classmethod
     def nearest_neighbor(cls) -> "Scheme":
@@ -183,13 +173,11 @@ class Scheme:
         return cls(SchemeKind.MIRROR)
 
     @classmethod
-    def kernel(cls, bandwidth: float | None = None) -> "Scheme":
-        return cls(SchemeKind.KERNEL, bandwidth)
+    def kernel(cls) -> "Scheme":
+        return cls(SchemeKind.KERNEL)
 
     @property
     def label(self) -> str:
-        if self.kind is SchemeKind.KERNEL and self.bandwidth is not None:
-            return f"kernel@{self.bandwidth!r}"
         return self.kind.value
 
 
@@ -313,29 +301,6 @@ def mirror_weights(
     return WeightVector(w)
 
 
-def kernel_weights(
-    dictionary: Dictionary, query: SPDMatrix, metric: Metric, bandwidth: float
-) -> tuple[WeightVector, tuple[str, ...]]:
-    """Gaussian-kernel weights ``w_i ∝ exp(-d_i^2 / (2 sigma^2))``.
-
-    If every kernel value underflows to zero the weights fall back to the
-    nearest-neighbor one-hot vector and the ``kernel-underflow`` flag is set.
-
-    Returns
-    -------
-    (WeightVector, flags)
-    """
-    if not bandwidth > 0.0:
-        raise ValueError("bandwidth must be positive")
-    d = _uplink_distances(dictionary, query, metric)
-    raw = np.exp(-(d**2) / (2.0 * bandwidth**2))
-    if raw.max() == 0.0:
-        w = np.zeros(len(dictionary))
-        w[int(np.argmin(d))] = 1.0
-        return WeightVector(w), (FLAG_KERNEL_UNDERFLOW,)
-    return WeightVector(raw / raw.sum()), ()
-
-
 def _kernel_tangent_norms(rows: np.ndarray, half_d2: np.ndarray, log_sigma):
     """``||sum_k w_k(sigma) T_k||_F`` at each ``log_sigma``, with kernel weights.
 
@@ -354,8 +319,9 @@ def _kernel_tangent_norms(rows: np.ndarray, half_d2: np.ndarray, log_sigma):
 
 def select_bandwidth(
     dictionary: Dictionary, query: SPDMatrix, metric: Metric
-) -> tuple[float, tuple[str, ...]]:
-    """Per-query kernel bandwidth minimizing the tangent-mean norm.
+) -> tuple[float, WeightVector, tuple[str, ...]]:
+    """Per-query kernel bandwidth minimizing the tangent-mean norm, and the
+    kernel weights at that bandwidth.
 
     Minimizes ``||sum_k w_k(sigma) log_map(query, uplink_k)||_F`` over
     ``sigma > 0``, where ``w(sigma)`` are the normalized Gaussian-kernel
@@ -379,11 +345,25 @@ def select_bandwidth(
     objective is flat over the bracket the returned interior point is
     arbitrary (``flat-bandwidth``).
 
+    The weights ``w_k ∝ exp(-d_k^2 / (2 sigma^2))`` are built from the
+    distances the search used.  Since ``sigma >= d_min / 10``, the nearest
+    entry's logit is at least -50 and the kernel sum cannot underflow.
+
     Returns
     -------
-    (sigma, flags)
+    (sigma, weights, flags)
     """
     d = _uplink_distances(dictionary, query, metric)
+    sigma, flags = _search_bandwidth(dictionary, query, metric, d)
+    kernel = np.exp(-(d**2) / (2.0 * sigma**2))
+    return sigma, WeightVector(kernel / kernel.sum()), flags
+
+
+def _search_bandwidth(
+    dictionary: Dictionary, query: SPDMatrix, metric: Metric, d: np.ndarray
+) -> tuple[float, tuple[str, ...]]:
+    """The bandwidth search of :func:`select_bandwidth` over the query's
+    uplink distances ``d``; returns ``(sigma, flags)``."""
     nonzero = d[d > 0.0]
     if nonzero.size == 0:
         return 1.0, (FLAG_DEGENERATE_BANDWIDTH,)
@@ -437,8 +417,8 @@ def estimate_downlink(
 ) -> DownlinkEstimate:
     """Estimate the downlink covariance for an observed uplink covariance.
 
-    Computes scheme weights from the uplink side (running the bandwidth
-    search first for a kernel scheme without a fixed bandwidth), then returns
+    Computes scheme weights from the uplink side (for the kernel scheme, at
+    the bandwidth :func:`select_bandwidth` searches per query), then returns
     the weighted barycenter of the dictionary downlink matrices under the
     same metric.  An affine-invariant barycenter is flagged
     ``karcher-nonconverged`` when its Newton iteration stops at the cap, and
@@ -451,11 +431,7 @@ def estimate_downlink(
     elif scheme.kind is SchemeKind.MIRROR:
         weights = mirror_weights(dictionary, query, metric)
     else:
-        sigma = scheme.bandwidth
-        if sigma is None:
-            sigma, flags = select_bandwidth(dictionary, query, metric)
-        weights, kernel_flags = kernel_weights(dictionary, query, metric, sigma)
-        flags = flags + kernel_flags
+        _, weights, flags = select_bandwidth(dictionary, query, metric)
 
     result: BarycenterResult = barycenter(metric, dictionary.downlink_stack, weights.w)
     if not result.converged:

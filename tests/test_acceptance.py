@@ -227,7 +227,7 @@ class TestOracleSuite:
         worst = -np.inf
         for metric in METRICS:
             q = random_spd(rng, 3)
-            sigma, flags = select_bandwidth(dictionary, q, metric)
+            sigma, _, flags = select_bandwidth(dictionary, q, metric)
             assert flags == ()
             dists = np.array([distance(metric, ul, q) for ul in dictionary.uplinks])
             tangents = np.stack(

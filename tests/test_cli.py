@@ -81,6 +81,21 @@ class TestRun:
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_failed_cell_counts_every_redraw(self, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("covcast.harness.estimate_downlink", failing)
+        path = tmp_path / "redraws.cfg"
+        path.write_text(CONFIG + "n_dictionary_redraws = 3\n")
+        out = tmp_path / "results.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        failed = [r for r in read_csv(out) if r.mse is None]
+        assert len(failed) == 2 * 3  # n_queries x n_dictionary_redraws
+        printed = capsys.readouterr().out
+        assert "nearest_neighbor/euclidean" in printed
+        assert "all 6 trials failed" in printed
+
     def test_zero_workers_is_a_usage_error(self, config_path, tmp_path, capsys):
         out = tmp_path / "results.csv"
         with pytest.raises(SystemExit) as exc:

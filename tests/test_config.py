@@ -11,7 +11,7 @@ from covcast.config import (
     parse_config,
     parse_config_text,
 )
-from covcast.interp import SchemeKind
+from covcast.interp import Scheme
 from covcast.spd import Metric
 
 MINIMAL = """
@@ -36,7 +36,7 @@ class TestParsing:
         assert cfg.array_kind is ArrayKind.ULA
         assert len(cfg.schemes) == 2
         scheme, metric = cfg.schemes[1]
-        assert scheme.kind is SchemeKind.KERNEL and scheme.bandwidth is None
+        assert scheme == Scheme.kernel()
         assert metric is Metric.LOG_EUCLIDEAN
         assert cfg.baselines == (BaselineKind.NO_CONVERSION,)
 
@@ -52,10 +52,9 @@ class TestParsing:
         assert cfg.effective_square_side == pytest.approx(9 * lam_dl / 2)
 
     def test_fixed_bandwidth_scheme(self):
-        cfg = parse_config_text("schemes = kernel@0.25:affine_invariant")
-        scheme, metric = cfg.schemes[0]
-        assert scheme.bandwidth == 0.25
-        assert metric is Metric.AFFINE_INVARIANT
+        # the bandwidth is always searched per query; there is no kernel@<sigma>
+        with pytest.raises(ConfigError, match="unknown scheme 'kernel@0.25'"):
+            parse_config_text("schemes = kernel@0.25:affine_invariant")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -64,6 +63,22 @@ class TestParsing:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("n_antennas = 4\nn_antennas = 5\n")
+
+    def test_repeated_dict_size_rejected(self):
+        with pytest.raises(ConfigError, match="dict_sizes lists 5 more than once"):
+            parse_config_text("dict_sizes = 5, 3, 5\n")
+
+    def test_repeated_scheme_rejected(self):
+        with pytest.raises(
+            ConfigError, match="schemes lists kernel:euclidean more than once"
+        ):
+            parse_config_text(
+                "schemes = kernel:euclidean, kernel:log_euclidean, kernel:euclidean\n"
+            )
+
+    def test_repeated_baseline_rejected(self):
+        with pytest.raises(ConfigError, match="baselines lists spline more than once"):
+            parse_config_text("baselines = spline, no_conversion, spline\n")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):

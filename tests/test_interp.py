@@ -24,13 +24,11 @@ from covcast.interp import (
     FLAG_FLAT_BANDWIDTH,
     FLAG_KARCHER_FLOOR,
     FLAG_KARCHER_NONCONVERGED,
-    FLAG_KERNEL_UNDERFLOW,
     Dictionary,
     Scheme,
     SchemeKind,
     WeightVector,
     estimate_downlink,
-    kernel_weights,
     mirror_weights,
     nearest_neighbor_weights,
     select_bandwidth,
@@ -42,6 +40,7 @@ from covcast.spd import (
     SPDMatrix,
     barycenter,
     distance,
+    distances,
     log_map,
     whitened_log_map,
 )
@@ -144,16 +143,6 @@ class TestWeightVector:
         w = WeightVector(raw / raw.sum())
         assert abs(w.w.sum() - 1.0) <= 1e-9
         assert np.all(w.w >= 0.0) and np.all(w.w <= 1.0)
-
-
-class TestScheme:
-    def test_bandwidth_only_for_kernel(self):
-        with pytest.raises(ValueError):
-            Scheme(SchemeKind.MIRROR, bandwidth=1.0)
-        with pytest.raises(ValueError):
-            Scheme.kernel(bandwidth=0.0)
-        assert Scheme.kernel(0.5).bandwidth == 0.5
-        assert Scheme.nearest_neighbor().bandwidth is None
 
 
 # ---------------------------------------------------------------------------
@@ -353,60 +342,33 @@ class TestMirrorWeights:
 
 
 class TestKernelWeights:
+    """The weights :func:`select_bandwidth` returns with its bandwidth."""
+
     def test_formula(self):
-        # distances (1, 2, 3) with sigma = 1
         rng = np.random.default_rng(12)
-        base = np.diag([1.0, 1.0])
-        uplinks = [SPDMatrix(base + 0.0), SPDMatrix(base * np.e**0), base]
-        # Build uplinks at controlled Euclidean distances from q along a
-        # single diagonal direction.
-        q = SPDMatrix(np.diag([1.0, 1.0]))
-        offsets = [1.0, 2.0, 3.0]
-        pairs = []
-        for off in offsets:
-            shift = np.diag([off / np.sqrt(2.0)] * 2)
-            pairs.append((SPDMatrix(q.mat + shift), random_spd(rng, 2)))
-        d = Dictionary(pairs)
-        w, flags = kernel_weights(d, q, Metric.EUCLIDEAN, bandwidth=1.0)
-        expected = np.exp(-np.array(offsets) ** 2 / 2.0)
-        expected /= expected.sum()
-        assert flags == ()
-        assert np.allclose(w.w, expected, atol=1e-12)
-
-    def test_flat_kernel_limit_is_uniform(self):
-        rng = np.random.default_rng(13)
-        d = make_dictionary(rng, 5)
+        d = make_dictionary(rng, 6)
         q = random_spd(rng, 3)
-        dists = [distance(Metric.LOG_EUCLIDEAN, ul, q) for ul in d.uplinks]
-        w, flags = kernel_weights(
-            d, q, Metric.LOG_EUCLIDEAN, bandwidth=1e12 * max(dists)
-        )
-        assert flags == ()
-        assert np.allclose(w.w, 0.2, atol=1e-9)
-
-    def test_sharp_kernel_limit_is_one_hot(self):
-        rng = np.random.default_rng(14)
-        d = make_dictionary(rng, 5)
-        q = random_spd(rng, 3)
-        w, flags = kernel_weights(d, q, Metric.LOG_EUCLIDEAN, bandwidth=1e-6)
-        nn = nearest_neighbor_weights(d, q, Metric.LOG_EUCLIDEAN)
-        assert np.allclose(w.w, nn.w, atol=1e-12)
-        assert FLAG_KERNEL_UNDERFLOW in flags  # exp(-d^2/2e-12) underflows
+        for metric in METRICS:
+            sigma, w, flags = select_bandwidth(d, q, metric)
+            assert flags == ()
+            dists = np.array([distance(metric, ul, q) for ul in d.uplinks])
+            expected = np.exp(-(dists**2) / (2.0 * sigma**2))
+            expected /= expected.sum()
+            np.testing.assert_allclose(w.w, expected, rtol=1e-12, atol=0.0)
 
     def test_member_query_keeps_unit_kernel(self):
         rng = np.random.default_rng(15)
         pairs = [(random_spd(rng, 3), random_spd(rng, 3)) for _ in range(4)]
         q = pairs[2][0]
         d = Dictionary(pairs)
-        w, flags = kernel_weights(d, q, Metric.EUCLIDEAN, bandwidth=0.5)
+        sigma, w, flags = select_bandwidth(d, q, Metric.EUCLIDEAN)
         assert flags == ()
         assert np.argmax(w.w) == 2
-
-    def test_rejects_bad_bandwidth(self):
-        rng = np.random.default_rng(16)
-        d = make_dictionary(rng, 2)
-        with pytest.raises(ValueError):
-            kernel_weights(d, random_spd(rng, 3), Metric.EUCLIDEAN, bandwidth=0.0)
+        # the member's kernel value is exp(0) = 1, whatever sigma is
+        dists = np.array([distance(Metric.EUCLIDEAN, ul, q) for ul in d.uplinks])
+        assert dists[2] == 0.0
+        kernel = np.exp(-(dists**2) / (2.0 * sigma**2))
+        assert w.w[2] == pytest.approx(1.0 / kernel.sum(), rel=1e-12)
 
 
 class TestSelectBandwidth:
@@ -415,14 +377,14 @@ class TestSelectBandwidth:
         a, b = random_spd(rng, 3), random_spd(rng, 3)
         q = SPDMatrix((a.mat + b.mat) / 2)
         d = Dictionary([(a, random_spd(rng, 3)), (b, random_spd(rng, 3))])
-        sigma, flags = select_bandwidth(d, q, Metric.EUCLIDEAN)
+        sigma, _, flags = select_bandwidth(d, q, Metric.EUCLIDEAN)
         assert FLAG_FLAT_BANDWIDTH in flags
         assert sigma > 0.0
 
     def test_single_entry_is_flat(self):
         rng = np.random.default_rng(18)
         d = make_dictionary(rng, 1)
-        sigma, flags = select_bandwidth(d, random_spd(rng, 3), Metric.LOG_EUCLIDEAN)
+        sigma, _, flags = select_bandwidth(d, random_spd(rng, 3), Metric.LOG_EUCLIDEAN)
         assert FLAG_FLAT_BANDWIDTH in flags
         assert sigma > 0.0
 
@@ -430,16 +392,17 @@ class TestSelectBandwidth:
         rng = np.random.default_rng(19)
         ul = random_spd(rng, 3)
         d = Dictionary([(ul, random_spd(rng, 3)), (ul, random_spd(rng, 3))])
-        sigma, flags = select_bandwidth(d, ul, Metric.EUCLIDEAN)
+        sigma, w, flags = select_bandwidth(d, ul, Metric.EUCLIDEAN)
         assert flags == (FLAG_DEGENERATE_BANDWIDTH,)
         assert sigma > 0.0
+        assert np.array_equal(w.w, [0.5, 0.5])
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_beats_log_grid(self, metric):
         rng = np.random.default_rng(20)
         d = make_dictionary(rng, 10)
         q = random_spd(rng, 3)
-        sigma, flags = select_bandwidth(d, q, metric)
+        sigma, _, flags = select_bandwidth(d, q, metric)
         assert flags == ()
 
         # independent oracle: direct objective over a 1000-point log grid
@@ -473,7 +436,7 @@ class TestSelectBandwidth:
             return value
 
         monkeypatch.setattr(interp, "_kernel_tangent_norms", recording)
-        _, flags = select_bandwidth(d, q, metric)
+        _, _, flags = select_bandwidth(d, q, metric)
         assert flags == ()
         rows, half_d2, xs, scan = calls[0]
         assert xs.shape == scan.shape == (64,)
@@ -501,10 +464,16 @@ class TestSelectBandwidth:
         d, q = desk_ula_case
         perm = np.random.default_rng(26).permutation(len(d))
         shuffled = Dictionary([d.pairs[i] for i in perm])
-        sigma, flags = select_bandwidth(d, q, metric)
-        sigma_p, flags_p = select_bandwidth(shuffled, q, metric)
+        sigma, w, flags = select_bandwidth(d, q, metric)
+        sigma_p, w_p, flags_p = select_bandwidth(shuffled, q, metric)
         assert sigma_p.hex() == sigma.hex()
         assert flags_p == flags
+        # The kernel values permute bit for bit (same distances, same sigma);
+        # their normalizing sum runs in dictionary order, so the weights
+        # agree to its last-bit rounding.
+        np.testing.assert_allclose(
+            w_p.w, w.w[perm], rtol=4 * np.finfo(float).eps, atol=0.0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +518,22 @@ class TestEstimateDownlink:
         est = estimate_downlink(d, q, Scheme.mirror(), Metric.EUCLIDEAN)
         assert frob(est.covariance.mat - (da.mat + db.mat) / 2) < 1e-6
 
-    def test_fixed_bandwidth_skips_search(self):
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_kernel_estimate_computes_distances_once(self, metric, monkeypatch):
         rng = np.random.default_rng(24)
         d = make_dictionary(rng, 4)
         q = random_spd(rng, 3)
-        est = estimate_downlink(d, q, Scheme.kernel(0.7), Metric.EUCLIDEAN)
-        w, _ = kernel_weights(d, q, Metric.EUCLIDEAN, 0.7)
-        assert np.allclose(est.weights.w, w.w)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return distances(*args)
+
+        monkeypatch.setattr(interp, "distances", counting)
+        est = estimate_downlink(d, q, Scheme.kernel(), metric)
+        assert len(calls) == 1
+        _, w, flags = select_bandwidth(d, q, metric)
+        assert np.array_equal(est.weights.w, w.w)
 
     @given(seeds, st.sampled_from(METRICS))
     def test_weights_always_on_simplex(self, seed, metric):
