@@ -60,10 +60,9 @@ class Dictionary:
     one (possibly different) dimension; the dictionary is never empty.
 
     The dictionary is its two sides, each an :class:`~covcast.spd.SPDStack`
-    (which rejects mixed dimensions).  Their stacked matrices, logarithms
-    and inverse square roots are the dictionary's fitted coordinates:
-    computed on first use, once per dictionary and process, and read by
-    every later query.
+    (which rejects mixed dimensions).  Their stacked matrices and
+    logarithms are the dictionary's fitted coordinates: computed on first
+    use, once per dictionary and process, and read by every later query.
     """
 
     __slots__ = ("_uplinks", "_downlinks")
@@ -212,17 +211,17 @@ def nearest_neighbor_weights(
     return WeightVector(w)
 
 
-def solve_simplex_qp(gram: np.ndarray) -> WeightVector:
-    """Minimize ``w^T G w`` over the probability simplex, exactly.
+def solve_simplex_qp(factor: np.ndarray) -> WeightVector:
+    """Minimize ``||A w||^2`` over the probability simplex, exactly.
 
-    Factors ``G = A^T A`` with ``A = diag(sqrt(max(lambda, 0))) V^T`` from
-    one eigendecomposition, solves the non-negative least-squares lift
+    Scales ``A`` to unit largest column norm (the minimizer is
+    scale-invariant), solves the non-negative least-squares lift
 
         ``min ||A v||^2 + (1^T v - 1)^2``  over ``v >= 0``
 
     with Lawson-Hanson NNLS (:func:`scipy.optimize.nnls`) and returns
     ``w = v / 1^T v``.  The lift is exact: for ``v = s w`` its value is
-    ``s^2 q + (s - 1)^2`` with ``q = w^T G w``, whose minimum over ``s`` is
+    ``s^2 q + (s - 1)^2`` with ``q = ||A w||^2``, whose minimum over ``s`` is
     ``q / (1 + q)``, increasing in ``q``, so the lifted minimizer normalizes
     to the simplex minimizer.  The active-set method terminates in finitely
     many steps; if NNLS exhausts its own iteration allowance it raises
@@ -230,36 +229,28 @@ def solve_simplex_qp(gram: np.ndarray) -> WeightVector:
 
     Parameters
     ----------
-    gram : ndarray, shape (k, k)
-        Hermitian positive-semidefinite Gram matrix; imaginary round-off
-        (present when formed as ``M^H M`` from complex columns) is discarded,
-        which is exact for real weight vectors.
+    factor : ndarray, shape (m, k)
+        Real matrix ``A`` with ``k >= 1`` columns; the objective is
+        ``w^T G w`` for the Gram matrix ``G = A^T A``, which is never formed.
 
     Returns
     -------
     WeightVector
         Length-k weights achieving the simplex minimum.
     """
-    g = np.asarray(gram)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"Gram matrix must be square, got shape {g.shape}")
-    if np.iscomplexobj(g):
-        if np.abs(g - g.conj().T).max() > 1e-8 * max(1.0, np.abs(g).max()):
-            raise ValueError("Gram matrix must be Hermitian")
-        g = np.real((g + g.conj().T) / 2)
-    else:
-        g = (g + g.T) / 2
-    eigs, vecs = np.linalg.eigh(g)
-    if eigs[0] < -1e-10 * max(1.0, abs(eigs[-1])):
-        raise ValueError(f"Gram matrix is not PSD: min eigenvalue {eigs[0]:.3e}")
-
-    k = g.shape[0]
-    if eigs[-1] <= 0.0:
-        # Zero (or numerically zero) objective: every simplex point is optimal.
+    a = np.asarray(factor)
+    if np.iscomplexobj(a):
+        raise ValueError("factor must be real; pass the float64 view of complex columns")
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ValueError(f"factor must be 2-D with at least one column, got shape {a.shape}")
+    k = a.shape[1]
+    scale = float(np.linalg.norm(a, axis=0).max())
+    if scale == 0.0:
+        # Zero objective: every simplex point is optimal.
         return WeightVector(np.full(k, 1.0 / k))
 
-    lifted = np.vstack([np.sqrt(np.maximum(eigs, 0.0))[:, None] * vecs.T, np.ones(k)])
-    target = np.zeros(k + 1)
+    lifted = np.vstack([a / scale, np.ones(k)])
+    target = np.zeros(lifted.shape[0])
     target[-1] = 1.0
     v, _ = nnls(lifted, target)
     return WeightVector(v / v.sum())
@@ -276,8 +267,10 @@ def mirror_weights(
     weighted sum of logarithmic-map tangent vectors from the query to those
     entries, measured in the metric's own norm at the query (for the
     affine-invariant metric, ``||X^{-1/2} V X^{-1/2}||_F`` rather than the
-    ambient ``||V||_F``; see :func:`~covcast.spd.whitened_log_map`).  Entries
-    outside the selected set receive weight zero.
+    ambient ``||V||_F``; see :func:`~covcast.spd.whitened_log_map`).  The
+    simplex QP takes the tangents as the columns of their real
+    ``(2 n^2, k_s)`` view.  Entries outside the selected set receive weight
+    zero.
     """
     d = _uplink_distances(dictionary, query, metric)
     k = len(dictionary)
@@ -285,16 +278,7 @@ def mirror_weights(
     selected = np.argsort(d, kind="stable")[:k_s]
 
     tangents = log_maps(metric, query, dictionary.uplink_stack, selected, whitened=True)
-    # one column per selected entry, C-ordered as the Gram product expects
-    m = np.ascontiguousarray(tangents.reshape(k_s, -1).T)
-    gram = np.real(m.conj().T @ m)
-    # Scale-normalize so the solver's PSD gate and the balance between the
-    # Gram factor and the lift's sum-to-one row do not depend on tangent
-    # magnitudes; the minimizer is scale-invariant.
-    scale = float(np.abs(np.diag(gram)).max())
-    if scale > 0.0:
-        gram = gram / scale
-    w_sel = solve_simplex_qp(gram).w
+    w_sel = solve_simplex_qp(tangents.reshape(k_s, -1).view(np.float64).T).w
 
     w = np.zeros(k)
     w[selected] = w_sel
@@ -346,29 +330,36 @@ def select_bandwidth(
     arbitrary (``flat-bandwidth``).
 
     The weights ``w_k ∝ exp(-d_k^2 / (2 sigma^2))`` are built from the
-    distances the search used.  Since ``sigma >= d_min / 10``, the nearest
-    entry's logit is at least -50 and the kernel sum cannot underflow.
+    distances the search used, and normalized by their sum in distance
+    order, so they too permute with the dictionary bit for bit.  Since
+    ``sigma >= d_min / 10``, the nearest entry's logit is at least -50 and
+    the kernel sum cannot underflow.
 
     Returns
     -------
     (sigma, weights, flags)
     """
     d = _uplink_distances(dictionary, query, metric)
-    sigma, flags = _search_bandwidth(dictionary, query, metric, d)
+    order = np.argsort(d, kind="stable")
+    sigma, flags = _search_bandwidth(dictionary, query, metric, d, order)
     kernel = np.exp(-(d**2) / (2.0 * sigma**2))
-    return sigma, WeightVector(kernel / kernel.sum()), flags
+    return sigma, WeightVector(kernel / kernel[order].sum()), flags
 
 
 def _search_bandwidth(
-    dictionary: Dictionary, query: SPDMatrix, metric: Metric, d: np.ndarray
+    dictionary: Dictionary,
+    query: SPDMatrix,
+    metric: Metric,
+    d: np.ndarray,
+    order: np.ndarray,
 ) -> tuple[float, tuple[str, ...]]:
     """The bandwidth search of :func:`select_bandwidth` over the query's
-    uplink distances ``d``; returns ``(sigma, flags)``."""
+    uplink distances ``d``, whose stable ascending ``order`` it is given;
+    returns ``(sigma, flags)``."""
     nonzero = d[d > 0.0]
     if nonzero.size == 0:
         return 1.0, (FLAG_DEGENERATE_BANDWIDTH,)
 
-    order = np.argsort(d, kind="stable")
     tangents = log_maps(metric, query, dictionary.uplink_stack, order)
     rows = tangents.reshape(order.size, -1).view(np.float64)
     d2 = d[order] ** 2

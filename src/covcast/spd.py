@@ -318,15 +318,14 @@ def distance(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> float:
         return _frob(x.mat - y.mat)
     if metric is Metric.LOG_EUCLIDEAN:
         return _frob(_logm(x.mat) - _logm(y.mat))
-    # Affine invariant: eigenvalues of X^{-1/2} Y X^{-1/2} are the same as
-    # those of X^{-1} Y, and their logs give the geodesic distance.
-    _, isq = _sqrtm_invsqrtm(x.mat)
-    return float(_ai_distances(isq, y.mat))
+    return float(_ai_distances(x.mat, y.mat))
 
 
-def _ai_distances(isq: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Affine-invariant distances from the points whose inverse square roots
-    are ``isq`` (one matrix or a stack) to ``y``, one per point."""
+def _ai_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Affine-invariant distances from ``x`` to ``y`` (one matrix or a stack),
+    one per point of ``y``: the root sum of squared log-eigenvalues of
+    ``X^{-1/2} Y X^{-1/2}``, which are those of ``X^{-1} Y``."""
+    _, isq = _sqrtm_invsqrtm(x)
     w = np.linalg.eigvalsh(_hermitian_congruence(isq, y))
     _check_positive(
         w, "affine-invariant distance: whitened matrix lost positive definiteness"
@@ -396,15 +395,14 @@ def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTan
 
 class SPDStack(Sequence):
     """Fixed sequence of positive-definite matrices of one dimension, held as
-    one (k, n, n) array whose logarithms and inverse square roots are stacked
-    on first use.
+    one (k, n, n) array whose logarithms are stacked on first use.
 
     Each array is computed once per object, in this process, with the steps
-    of the per-matrix functions (:func:`matrix_log`, and the inverse root
-    :func:`distance` whitens with), so every slice is bitwise what that
-    function returns for its point.  Nothing is computed at construction, and
-    an array that is never asked for is never built.  :func:`distances`,
-    :func:`log_maps` and :func:`barycenter` read the arrays.
+    of the per-matrix functions (:func:`matrix_log`), so every slice is
+    bitwise what that function returns for its point.  Nothing is computed
+    at construction, and an array that is never asked for is never built.
+    :func:`distances`, :func:`log_maps` and :func:`barycenter` read the
+    arrays.
 
     Raises
     ------
@@ -413,7 +411,7 @@ class SPDStack(Sequence):
         the first offending entry).
     """
 
-    __slots__ = ("_points", "_mats", "_logs", "_invsqrts")
+    __slots__ = ("_points", "_mats", "_logs")
 
     def __init__(self, points: Iterable[SPDMatrix]) -> None:
         points = tuple(points)
@@ -428,7 +426,6 @@ class SPDStack(Sequence):
         self._points = points
         self._mats: np.ndarray | None = None
         self._logs: np.ndarray | None = None
-        self._invsqrts: np.ndarray | None = None
 
     __setstate__ = _restore_read_only
 
@@ -460,27 +457,21 @@ class SPDStack(Sequence):
             self._logs = _read_only(_logm(self.mats))
         return self._logs
 
-    @property
-    def invsqrts(self) -> np.ndarray:
-        """``P_k^{-1/2}`` for every point, shape (k, n, n), read-only."""
-        if self._invsqrts is None:
-            self._invsqrts = _read_only(_sqrtm_invsqrtm(self.mats)[1])
-        return self._invsqrts
-
 
 def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
-    """``distance(metric, p, x)`` for every point ``p`` of the stack, bitwise.
+    """``distance(metric, x, p)`` for every point ``p`` of the stack, bitwise.
 
     Euclidean and log-Euclidean take the Frobenius norms of the stacked
-    ``P_k - X`` and ``log P_k - log X``; affine-invariant whitens ``X`` with
-    each point's stacked inverse root.  ``x`` costs one logarithm at most.
+    ``P_k - X`` and ``log P_k - log X``; affine-invariant whitens the stacked
+    points with the inverse root of ``X``.  ``x`` costs one eigendecomposition
+    at most.
     """
     _check_same_dim(points, x, "distances")
     if metric is Metric.EUCLIDEAN:
         return _frobs(points.mats - x.mat)
     if metric is Metric.LOG_EUCLIDEAN:
         return _frobs(points.logs - _logm(x.mat))
-    return _ai_distances(points.invsqrts, x.mat)
+    return _ai_distances(x.mat, points.mats)
 
 
 def log_maps(

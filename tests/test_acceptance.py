@@ -211,7 +211,7 @@ class TestOracleSuite:
             rng = np.random.default_rng(50 + k)
             m = rng.standard_normal((6, k))
             gram = m.T @ m
-            w = solve_simplex_qp(gram).w
+            w = solve_simplex_qp(m).w
             ours = float(w @ gram @ w)
             grid = simplex_grid(k, 50)  # step 0.02
             best = float(np.einsum("mi,ij,mj->m", grid, gram, grid).min())

@@ -573,8 +573,8 @@ class TestStack:
         assert np.array_equal(mats, real_stack([p.mat for p in points]))
 
     def test_each_stacked_step_is_one_decomposition(self, monkeypatch):
-        # logs, inverse roots, affine-invariant distances and one Karcher
-        # tangent each decompose all 70 points in a single stacked call.
+        # logs, affine-invariant distances and one Karcher tangent each
+        # decompose all 70 points in a single stacked call.
         stacked = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
@@ -592,7 +592,6 @@ class TestStack:
         # in this order, so the Karcher start reads the logs already taken
         steps = [
             ("eigh", lambda: stack.logs),
-            ("eigh", lambda: stack.invsqrts),
             ("eigvalsh", lambda: distances(Metric.AFFINE_INVARIANT, stack, q)),
             ("eigh", lambda: barycenter(Metric.AFFINE_INVARIANT, stack, w)),
         ]
@@ -605,12 +604,11 @@ class TestStack:
     def test_pickled_arrays_stay_read_only(self, filled):
         stack = random_stack(14, 4)
         if filled:
-            stack.logs, stack.invsqrts
+            stack.logs
         clone = pickle.loads(pickle.dumps(stack))
         for original, copy in [(p.mat, c.mat) for p, c in zip(stack, clone)] + [
             (stack.mats, clone.mats),
             (stack.logs, clone.logs),
-            (stack.invsqrts, clone.invsqrts),
         ]:
             assert np.array_equal(copy, original)
             assert not copy.flags.writeable
@@ -619,17 +617,19 @@ class TestStack:
 
     @pytest.mark.parametrize("k", STACK_SIZES)
     def test_logs_and_inverse_roots(self, k):
+        # logs are stacked; inverse roots are not stored, since affine-invariant
+        # distances whiten by the query's own root
         stack = random_stack(3, k)
-        for p, log_p, isq_p in zip(stack, stack.logs, stack.invsqrts):
+        for p, log_p in zip(stack, stack.logs):
             assert np.array_equal(log_p, matrix_log(p).mat)
-            assert np.array_equal(isq_p, spd._sqrtm_invsqrtm(p.mat)[1])
+        assert not hasattr(stack, "invsqrts")
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("k", STACK_SIZES)
     def test_distances(self, metric, k):
         stack = random_stack(4, k)
         q = random_spd(np.random.default_rng(5), 3)
-        expected = [distance(metric, p, q) for p in stack]
+        expected = [distance(metric, q, p) for p in stack]
         assert np.array_equal(distances(metric, stack, q), expected)
 
     @pytest.mark.parametrize("metric", METRICS)
