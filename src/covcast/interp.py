@@ -28,6 +28,7 @@ from .spd import (
     barycenter,
     distances,
     log_maps,
+    nearest,
 )
 
 __all__ = [
@@ -115,8 +116,9 @@ class Dictionary:
 class WeightVector:
     """Point on the probability simplex, indexed against a dictionary.
 
-    Entries lie in [0, 1] and sum to 1 within 1e-9; values within 1e-12 of
-    the interval bounds are snapped onto them so the invariant holds exactly.
+    Entries are finite, lie in [0, 1] and sum to 1 within 1e-9; values within
+    1e-12 of the interval bounds are snapped onto them so the invariant holds
+    exactly.
     """
 
     __slots__ = ("_w",)
@@ -125,6 +127,8 @@ class WeightVector:
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError(f"expected a nonempty 1-D weight vector, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-12):
             raise ValueError("weights must lie in [0, 1]")
         w = np.clip(w, 0.0, 1.0)
@@ -189,13 +193,26 @@ class DownlinkEstimate:
     flags: tuple[str, ...]
 
 
-def _uplink_distances(dictionary: Dictionary, query: SPDMatrix, metric: Metric) -> np.ndarray:
+def _check_query(dictionary: Dictionary, query: SPDMatrix) -> None:
     if query.dim != dictionary.uplink_dim:
         raise ValueError(
             f"query dimension {query.dim} does not match dictionary "
             f"uplink dimension {dictionary.uplink_dim}"
         )
+
+
+def _uplink_distances(dictionary: Dictionary, query: SPDMatrix, metric: Metric) -> np.ndarray:
+    _check_query(dictionary, query)
     return distances(metric, dictionary.uplink_stack, query)
+
+
+def _nearest_uplinks(
+    dictionary: Dictionary, query: SPDMatrix, metric: Metric, k: int
+) -> np.ndarray:
+    """Indices of the ``k`` dictionary uplinks nearest to the query, ties
+    toward the lowest index (see :func:`~covcast.spd.nearest`)."""
+    _check_query(dictionary, query)
+    return nearest(metric, dictionary.uplink_stack, query, k)[0]
 
 
 def nearest_neighbor_weights(
@@ -205,9 +222,8 @@ def nearest_neighbor_weights(
 
     Ties are broken toward the lowest index.
     """
-    d = _uplink_distances(dictionary, query, metric)
     w = np.zeros(len(dictionary))
-    w[int(np.argmin(d))] = 1.0
+    w[_nearest_uplinks(dictionary, query, metric, 1)] = 1.0
     return WeightVector(w)
 
 
@@ -263,7 +279,8 @@ def mirror_weights(
     dictionary uplinks.
 
     The ``k_s = min(n_ul^2, K)`` uplink entries closest to the query are
-    selected; the weights minimize, over the simplex, the norm of the
+    selected (by :func:`~covcast.spd.nearest`, ties toward the lowest
+    index); the weights minimize, over the simplex, the norm of the
     weighted sum of logarithmic-map tangent vectors from the query to those
     entries, measured in the metric's own norm at the query (for the
     affine-invariant metric, ``||X^{-1/2} V X^{-1/2}||_F`` rather than the
@@ -272,10 +289,9 @@ def mirror_weights(
     ``(2 n^2, k_s)`` view.  Entries outside the selected set receive weight
     zero.
     """
-    d = _uplink_distances(dictionary, query, metric)
     k = len(dictionary)
     k_s = min(dictionary.uplink_dim**2, k)
-    selected = np.argsort(d, kind="stable")[:k_s]
+    selected = _nearest_uplinks(dictionary, query, metric, k_s)
 
     tangents = log_maps(metric, query, dictionary.uplink_stack, selected, whitened=True)
     w_sel = solve_simplex_qp(tangents.reshape(k_s, -1).view(np.float64).T).w

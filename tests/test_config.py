@@ -1,5 +1,8 @@
 """Scenario config parsing: strict keys, typed values, defaults."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from covcast.baselines import BaselineKind
@@ -13,6 +16,8 @@ from covcast.config import (
 )
 from covcast.interp import Scheme
 from covcast.spd import Metric
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 MINIMAL = """
 # toy scenario
@@ -132,3 +137,24 @@ class TestParsing:
         assert reparsed.effective_ula_spacing == cfg.effective_ula_spacing
         assert reparsed.dict_sizes == cfg.dict_sizes
         assert reparsed.schemes == cfg.schemes
+
+
+def test_committed_configs_are_found():
+    assert {p.name for p in CONFIGS} >= {"desk_random.cfg", "desk_ula.cfg", "paper_scale.cfg"}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_config_round_trip(path):
+    # every committed config parses, and format_config echoes it as a fixed
+    # point that keeps each set field and each derived default
+    cfg = parse_config(path)
+    echoed = format_config(cfg)
+    reparsed = parse_config_text(echoed)
+    assert format_config(reparsed) == echoed
+    for field in fields(ScenarioConfig):
+        value = getattr(cfg, field.name)
+        if value is None:
+            name = f"effective_{field.name}"
+            assert getattr(reparsed, name) == getattr(cfg, name), name
+        else:
+            assert getattr(reparsed, field.name) == value, field.name

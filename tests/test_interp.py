@@ -19,6 +19,7 @@ from covcast.harness import (
     make_geometry,
 )
 import covcast.interp as interp
+import covcast.spd as spd
 from covcast.interp import (
     FLAG_DEGENERATE_BANDWIDTH,
     FLAG_FLAT_BANDWIDTH,
@@ -129,6 +130,12 @@ class TestWeightVector:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             WeightVector([0.4, 0.4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN would slip past the range and sum gates and then out of the support
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector([bad, 1.0])
 
     def test_snaps_round_off(self):
         w = WeightVector([1.0 + 5e-13, -5e-13])
@@ -588,8 +595,9 @@ FITTED_SIZES = [1, 10, 70]
 SCHEMES = [Scheme.nearest_neighbor(), Scheme.mirror(), Scheme.kernel()]
 
 
-def per_entry_distances(metric, points, x):
-    return np.array([distance(metric, x, p) for p in points])
+def per_entry_distances(metric, points, x, idx=None):
+    entries = range(len(points)) if idx is None else idx
+    return np.array([distance(metric, x, points[int(i)]) for i in entries])
 
 
 def per_entry_log_maps(metric, x, points, idx, *, whitened=False):
@@ -618,14 +626,17 @@ class TestFittedDictionary:
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("k", FITTED_SIZES)
     def test_estimates_equal_per_entry_path(self, metric, k, monkeypatch):
-        # Distances and the mirror and kernel tangents recomputed entry by
-        # entry with distance, log_map and whitened_log_map must give the
-        # same weights, flags and estimates, bit for bit.
+        # Distances (the kernel's, and those the nearest-entry search of
+        # nearest neighbor and mirror takes) and the mirror and kernel
+        # tangents recomputed entry by entry with distance, log_map and
+        # whitened_log_map must give the same weights, flags and estimates,
+        # bit for bit.
         rng = np.random.default_rng(50 + k)
         d = make_dictionary(rng, k)
         q = random_spd(rng, 3)
         stacked = [estimate_downlink(d, q, s, metric) for s in SCHEMES]
         monkeypatch.setattr(interp, "distances", per_entry_distances)
+        monkeypatch.setattr(spd, "distances", per_entry_distances)
         monkeypatch.setattr(interp, "log_maps", per_entry_log_maps)
         fresh = make_dictionary(np.random.default_rng(50 + k), k)
         for scheme, est in zip(SCHEMES, stacked):

@@ -356,6 +356,14 @@ class TestBarycenter:
         with pytest.raises(ValueError):
             barycenter(Metric.EUCLIDEAN, [x, x], [1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # NaN would slip past the sign and sum gates and then out of the
+        # support, making the mean of [I, 2I] come back as 2I
+        points = [SPDMatrix(np.eye(2)), SPDMatrix(2.0 * np.eye(2))]
+        with pytest.raises(ValueError, match="finite"):
+            barycenter(Metric.EUCLIDEAN, points, [bad, 1.0])
+
     @given(seeds, st.sampled_from(METRICS))
     def test_permutation_invariance(self, seed, metric):
         rng = np.random.default_rng(seed)
@@ -631,6 +639,8 @@ class TestStack:
         q = random_spd(np.random.default_rng(5), 3)
         expected = [distance(metric, q, p) for p in stack]
         assert np.array_equal(distances(metric, stack, q), expected)
+        idx = np.random.default_rng(9).permutation(k)[: max(1, k // 2)]
+        assert np.array_equal(distances(metric, stack, q, idx), np.take(expected, idx))
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("k", STACK_SIZES)
