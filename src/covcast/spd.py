@@ -243,12 +243,25 @@ def _sqrtm(a: np.ndarray) -> np.ndarray:
     return _spectral(u, np.sqrt(w))
 
 
+def _inverse_spectral(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``U diag(1 / values) U^H`` for each eigenbasis, exactly Hermitian."""
+    return _herm((u / values[..., None, :]) @ _ct(u))
+
+
 def _sqrtm_invsqrtm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal square root and its inverse from a single eigendecomposition."""
     w, u = _eigh_sym(a)
     _check_positive(w, "matrix square root undefined on the cone")
     s = np.sqrt(w)
-    return _spectral(u, s), _herm((u / s[..., None, :]) @ _ct(u))
+    return _spectral(u, s), _inverse_spectral(u, s)
+
+
+def _logm_invsqrtm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logarithm and inverse principal square root from a single
+    eigendecomposition, bitwise :func:`_logm` and :func:`_sqrtm_invsqrtm`."""
+    w, u = _eigh_sym(a)
+    _check_positive(w, "matrix logarithm undefined")
+    return _spectral(u, np.log(w)), _inverse_spectral(u, np.sqrt(w))
 
 
 def _hermitian_congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -256,12 +269,9 @@ def _hermitian_congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _herm(a @ x @ _ct(a))
 
 
-def _frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
-
-
 def _frobs(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, bitwise :func:`_frob` of it.
+    """Frobenius norm of each matrix of a stack, bitwise
+    ``np.linalg.norm(., "fro")`` of it.
 
     ``np.linalg.norm(., "fro")`` of a complex matrix is ``sqrt(re.re + im.im)``
     with one strided BLAS dot product per part; a stacked matmul of row by
@@ -308,6 +318,7 @@ def distance(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> float:
     Euclidean uses ``||X - Y||_F``, log-Euclidean ``||log X - log Y||_F``,
     and affine-invariant ``||log(X^{1/2} Y^{-1} X^{1/2})||_F`` (equivalently
     the root sum of squared log-eigenvalues of ``X^{-1/2} Y X^{-1/2}``).
+    Computed as the one-row case of :func:`distances`, with ``y`` the stack.
 
     Parameters
     ----------
@@ -320,20 +331,15 @@ def distance(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> float:
     float
         Nonnegative distance; zero iff ``x == y``.
     """
-    _check_same_dim(x, y, "distance")
-    if metric is Metric.EUCLIDEAN:
-        return _frob(x.mat - y.mat)
-    if metric is Metric.LOG_EUCLIDEAN:
-        return _frob(_logm(x.mat) - _logm(y.mat))
-    return float(_ai_distances(x.mat, y.mat))
+    return float(distances(metric, SPDStack._of(y), x)[0])
 
 
-def _ai_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Affine-invariant distances from ``x`` to ``y`` (one matrix or a stack),
-    one per point of ``y``: the root sum of squared log-eigenvalues of
-    ``X^{-1/2} Y X^{-1/2}``, which are those of ``X^{-1} Y``."""
-    _, isq = _sqrtm_invsqrtm(x)
-    w = np.linalg.eigvalsh(_hermitian_congruence(isq, y))
+def _ai_distances(isq: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Affine-invariant distances from ``X`` to each matrix ``P`` of the stack
+    ``mats``, given ``isq = X^{-1/2}``: the root sum of squared
+    log-eigenvalues of ``X^{-1/2} P X^{-1/2}``, which are those of
+    ``X^{-1} P``."""
+    w = np.linalg.eigvalsh(_hermitian_congruence(isq, mats))
     _check_positive(
         w, "affine-invariant distance: whitened matrix lost positive definiteness"
     )
@@ -365,17 +371,13 @@ def exp_map(metric: Metric, x: SPDMatrix, v: HermitianTangent) -> SPDMatrix:
 def log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTangent:
     """Logarithmic map: tangent velocity at ``x`` reaching ``y``.
 
+    Euclidean: ``Y - X``.  Log-Euclidean: ``log Y - log X``.
+    Affine-invariant: ``X^{1/2} log(X^{-1/2} Y X^{-1/2}) X^{1/2}``.
     Inverse of :func:`exp_map` for every metric:
-    ``exp_map(m, x, log_map(m, x, y)) == y``.
+    ``exp_map(m, x, log_map(m, x, y)) == y``.  Computed as the one-row case
+    of :func:`log_maps`, with ``y`` the stack.
     """
-    _check_same_dim(x, y, "log_map")
-    if metric is Metric.EUCLIDEAN:
-        return HermitianTangent(y.mat - x.mat)
-    if metric is Metric.LOG_EUCLIDEAN:
-        return HermitianTangent(_logm(y.mat) - _logm(x.mat))
-    sq, isq = _sqrtm_invsqrtm(x.mat)
-    inner = _logm(_hermitian_congruence(isq, y.mat))
-    return HermitianTangent(_hermitian_congruence(sq, inner))
+    return HermitianTangent(log_maps(metric, x, SPDStack._of(y), (0,))[0])
 
 
 def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTangent:
@@ -388,12 +390,9 @@ def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTan
     product ``tr(X^{-1} U X^{-1} V)``, Pennec, Fillard & Ayache 2006), so it
     is returned whitened, as ``log(X^{-1/2} Y X^{-1/2})``.  In every case the
     Frobenius norm of the result equals ``distance(metric, x, y)``.
+    Computed as the one-row case of ``log_maps(..., whitened=True)``.
     """
-    if metric is not Metric.AFFINE_INVARIANT:
-        return log_map(metric, x, y)
-    _check_same_dim(x, y, "whitened_log_map")
-    _, isq = _sqrtm_invsqrtm(x.mat)
-    return HermitianTangent(_logm(_hermitian_congruence(isq, y.mat)))
+    return HermitianTangent(log_maps(metric, x, SPDStack._of(y), (0,), whitened=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +435,15 @@ class SPDStack(Sequence):
 
     __setstate__ = _restore_read_only
 
+    @classmethod
+    def _of(cls, point: SPDMatrix) -> SPDStack:
+        """One-point stack whose matrices view the point's own array."""
+        stack = cls.__new__(cls)
+        stack._points = (point,)
+        stack._mats = point.mat[None]
+        stack._logs = None
+        return stack
+
     @property
     def points(self) -> tuple[SPDMatrix, ...]:
         return self._points
@@ -465,9 +473,8 @@ class SPDStack(Sequence):
         return self._logs
 
 
-def distances(metric: Metric, points: SPDStack, x: SPDMatrix, idx=None) -> np.ndarray:
-    """``distance(metric, x, p)`` for every point ``p`` of the stack, or for
-    the points at ``idx`` in that order, bitwise.
+def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
+    """``distance(metric, x, p)`` for every point ``p`` of the stack, bitwise.
 
     Euclidean and log-Euclidean take the Frobenius norms of the stacked
     ``P_k - X`` and ``log P_k - log X``; affine-invariant whitens the stacked
@@ -475,12 +482,11 @@ def distances(metric: Metric, points: SPDStack, x: SPDMatrix, idx=None) -> np.nd
     at most.
     """
     _check_same_dim(points, x, "distances")
-    sel = slice(None) if idx is None else np.asarray(idx, dtype=np.intp)
     if metric is Metric.EUCLIDEAN:
-        return _frobs(points.mats[sel] - x.mat)
+        return _frobs(points.mats - x.mat)
     if metric is Metric.LOG_EUCLIDEAN:
-        return _frobs(points.logs[sel] - _logm(x.mat))
-    return _ai_distances(x.mat, points.mats[sel])
+        return _frobs(points.logs - _logm(x.mat))
+    return _ai_distances(_sqrtm_invsqrtm(x.mat)[1], points.mats)
 
 
 def nearest(
@@ -498,7 +504,9 @@ def nearest(
     ||log(X^{-1/2} P X^{-1/2})||_F`` (the exponential metric increasing
     property; Bhatia, *Positive Definite Matrices*, 2007, Thm 6.1.4).  So:
 
-    1. take the log-Euclidean distances ``l`` (from the stacked logs);
+    1. decompose ``X`` once, for ``log X`` and ``X^{-1/2}``, and take the
+       log-Euclidean distances ``l`` from the stacked logs; ``X^{-1/2}``
+       serves every affine-invariant distance below;
     2. compute the affine-invariant distances of the ``k`` entries with the
        smallest ``l``; their maximum ``u`` bounds the ``k``-th smallest
        affine-invariant distance from above;
@@ -532,13 +540,15 @@ def nearest(
         d = distances(metric, points, x)
         idx = np.argsort(d, kind="stable")[:k]
         return idx, d[idx]
-    lower = distances(Metric.LOG_EUCLIDEAN, points, x)
+    _check_same_dim(points, x, "nearest")
+    log_x, isq = _logm_invsqrtm(x.mat)
+    lower = _frobs(points.logs - log_x)
     first = np.argsort(lower, kind="stable")[:k]
     d = np.full(len(points), np.inf)
-    d[first] = distances(metric, points, x, first)
+    d[first] = _ai_distances(isq, points.mats[first])
     rest = np.flatnonzero((lower <= d[first].max() + NEAREST_SLACK) & np.isinf(d))
     if rest.size:
-        d[rest] = distances(metric, points, x, rest)
+        d[rest] = _ai_distances(isq, points.mats[rest])
     # entries never computed stay at +inf, behind the k computed ones
     idx = np.argsort(d, kind="stable")[:k]
     return idx, d[idx]
@@ -627,7 +637,7 @@ class _KarcherIterate:
         # summed in point order, as a per-point loop would
         for wi, log_i in zip(w, _spectral(self.u, self.mu)):
             self.tangent += wi * log_i
-        self.residual = _frob(self.tangent)
+        self.residual = float(_frobs(self.tangent[None])[0])
 
 
 def _karcher_hessian(u: np.ndarray, mu: np.ndarray, w: np.ndarray):

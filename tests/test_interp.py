@@ -39,10 +39,12 @@ from covcast.spd import (
     KARCHER_TOL,
     Metric,
     SPDMatrix,
+    SPDStack,
     barycenter,
     distance,
     distances,
     log_map,
+    nearest,
     whitened_log_map,
 )
 from helpers import frob, random_spd
@@ -403,6 +405,57 @@ class TestSelectBandwidth:
         assert sigma > 0.0
         assert np.array_equal(w.w, [0.5, 0.5])
 
+    # Every distance is zero or in [2^-537, 2^512), so the refined bracket is
+    # narrower than two of the 63 scan intervals of ln(100 d_max / d_min) <
+    # ln 100 + 1049 ln 2, and golden section stops once it is 1e-14 wide.
+    WIDEST_BRACKET = 2 * (np.log(100.0) + 1049 * np.log(2.0)) / 63
+    MAX_EVALS = 2 + int(np.ceil(np.log(WIDEST_BRACKET / 1e-14) / np.log((1 + np.sqrt(5)) / 2)))
+
+    def test_extreme_distance_ratio_ends_within_the_bound(self, monkeypatch):
+        scale = 1e-150
+        query = SPDMatrix(scale * np.eye(2))
+        uplinks = [
+            SPDMatrix(scale * np.diag([0.5, 1.0])),
+            SPDMatrix(scale * np.diag([1.6, 1.0])),  # cancels the first
+            SPDMatrix(1e150 * np.eye(2)),
+        ]
+        d = Dictionary([(ul, ul) for ul in uplinks])
+        dist = distances(Metric.EUCLIDEAN, d.uplink_stack, query)
+        assert dist.max() / dist.min() > 1e300
+        real = interp._kernel_tangent_norms
+        refinements = []
+
+        def counted(rows, half_d2, log_sigma):
+            if np.ndim(log_sigma) == 0:
+                refinements.append(log_sigma)
+            return real(rows, half_d2, log_sigma)
+
+        monkeypatch.setattr(interp, "_kernel_tangent_norms", counted)
+        # the far entry's logit overflows to -inf: weight zero, as it should be
+        with np.errstate(over="ignore"):
+            sigma, w, flags = select_bandwidth(d, query, Metric.EUCLIDEAN)
+        assert flags == () and dist.min() / 10 <= sigma <= 10 * dist.max()
+        assert 0 < len(refinements) <= self.MAX_EVALS
+        assert w.w[2] == 0.0
+
+    @pytest.mark.parametrize("a", [-374.53, -11.6, 333.9])
+    @pytest.mark.parametrize("at", [0.01, 0.5, 0.99])
+    def test_widest_bracket_ends_within_the_bound(self, a, at):
+        # the widest bracket at both ends of the log-distance range and in
+        # between, with the minimum near either end or in the middle
+        assert self.MAX_EVALS == 76  # as select_bandwidth's docstring states
+        b = a + self.WIDEST_BRACKET
+        target = a + at * (b - a)
+        evals = []
+
+        def fn(x):
+            evals.append(x)
+            return (x - target) ** 2
+
+        x = interp._golden_section(fn, a, b)
+        assert len(evals) <= self.MAX_EVALS
+        assert abs(x - target) <= 1e-13 * max(1.0, abs(a), abs(b))
+
     @pytest.mark.parametrize("metric", METRICS)
     def test_beats_log_grid(self, metric):
         rng = np.random.default_rng(20)
@@ -595,9 +648,18 @@ FITTED_SIZES = [1, 10, 70]
 SCHEMES = [Scheme.nearest_neighbor(), Scheme.mirror(), Scheme.kernel()]
 
 
-def per_entry_distances(metric, points, x, idx=None):
-    entries = range(len(points)) if idx is None else idx
-    return np.array([distance(metric, x, points[int(i)]) for i in entries])
+# The stacked functions as they are before any test replaces them: the
+# per-entry paths below call them on one row at a time.
+REAL_DISTANCES = spd.distances
+REAL_AI_DISTANCES = spd._ai_distances
+
+
+def per_entry_distances(metric, points, x):
+    return np.concatenate([REAL_DISTANCES(metric, SPDStack([p]), x) for p in points])
+
+
+def per_entry_ai_distances(isq, mats):
+    return np.concatenate([REAL_AI_DISTANCES(isq, mats[j : j + 1]) for j in range(len(mats))])
 
 
 def per_entry_log_maps(metric, x, points, idx, *, whitened=False):
@@ -617,19 +679,27 @@ class TestFittedDictionary:
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("k", FITTED_SIZES)
     def test_distances_equal_per_entry(self, metric, k):
+        # K one-row calls of distance give bitwise the one K-row call, and
+        # the distances the nearest-entry search computes for the entries
+        # it returns.
         rng = np.random.default_rng(40 + k)
         d = make_dictionary(rng, k)
         q = random_spd(rng, 3)
-        expected = [distance(metric, q, ul) for ul in d.uplinks]
-        assert np.array_equal(interp._uplink_distances(d, q, metric), expected)
+        expected = np.array([distance(metric, q, ul) for ul in d.uplinks])
+        assert np.array_equal(distances(metric, d.uplink_stack, q), expected)
+        for n in sorted({1, min(d.uplink_dim**2, k), k}):
+            idx, near = nearest(metric, d.uplink_stack, q, n)
+            assert np.array_equal(idx, np.argsort(expected, kind="stable")[:n])
+            assert np.array_equal(near, expected[idx])
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("k", FITTED_SIZES)
     def test_estimates_equal_per_entry_path(self, metric, k, monkeypatch):
         # Distances (the kernel's, and those the nearest-entry search of
-        # nearest neighbor and mirror takes) and the mirror and kernel
-        # tangents recomputed entry by entry with distance, log_map and
-        # whitened_log_map must give the same weights, flags and estimates,
+        # nearest neighbor and mirror takes, its affine-invariant step
+        # included) computed one row at a time, and the mirror and kernel
+        # tangents recomputed entry by entry with log_map and
+        # whitened_log_map, must give the same weights, flags and estimates,
         # bit for bit.
         rng = np.random.default_rng(50 + k)
         d = make_dictionary(rng, k)
@@ -637,6 +707,7 @@ class TestFittedDictionary:
         stacked = [estimate_downlink(d, q, s, metric) for s in SCHEMES]
         monkeypatch.setattr(interp, "distances", per_entry_distances)
         monkeypatch.setattr(spd, "distances", per_entry_distances)
+        monkeypatch.setattr(spd, "_ai_distances", per_entry_ai_distances)
         monkeypatch.setattr(interp, "log_maps", per_entry_log_maps)
         fresh = make_dictionary(np.random.default_rng(50 + k), k)
         for scheme, est in zip(SCHEMES, stacked):

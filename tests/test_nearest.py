@@ -190,3 +190,25 @@ def test_affine_invariant_search_is_pruned(config_cases, monkeypatch, scheme, li
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     estimate_downlink(dictionary, queries[0], scheme, Metric.AFFINE_INVARIANT)
     assert 0 < sum(counted) * limit < len(dictionary)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_affine_invariant_search_decomposes_the_query_once(monkeypatch, k):
+    # log X for the log-Euclidean bound and X^{-1/2} for both exact-distance
+    # steps come from one eigendecomposition of the (2-D) query.  Tied
+    # points keep every entry within the slack, so both steps run.
+    points, query = tied_commuting_case(0)
+    points.logs  # fitted once per stack
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, a.ndim))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    nearest(Metric.AFFINE_INVARIANT, points, query, k)
+    # both exact-distance steps ran: the k candidates, then the rest
+    assert calls.count(("eigvalsh", 3)) == 2
+    assert [c for c in calls if c[1] == 2] == [("eigh", 2)]

@@ -1,14 +1,24 @@
 """Geometry of the HPD cone: matrix functions, metrics, maps, barycenters."""
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import covcast.spd as spd
+from covcast.config import parse_config
+from covcast.harness import (
+    _TAG_DICTIONARY,
+    _build_case,
+    _rng,
+    build_dictionary,
+    make_geometry,
+)
 from covcast.spd import (
     BarycenterResult,
     HermitianTangent,
@@ -639,8 +649,6 @@ class TestStack:
         q = random_spd(np.random.default_rng(5), 3)
         expected = [distance(metric, q, p) for p in stack]
         assert np.array_equal(distances(metric, stack, q), expected)
-        idx = np.random.default_rng(9).permutation(k)[: max(1, k // 2)]
-        assert np.array_equal(distances(metric, stack, q, idx), np.take(expected, idx))
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("k", STACK_SIZES)
@@ -691,3 +699,106 @@ class TestStack:
         assert result.iterations == 0
         assert np.array_equal(result.point.mat, SPDMatrix(start).mat)
         assert result.residual == frob(tangent)
+
+
+# ---------------------------------------------------------------------------
+# The per-matrix geometry against scipy.linalg, which shares no code with
+# covcast.spd: the per-matrix functions are the one-row case of the stacked
+# ones, so comparing the two with each other cannot catch an error in both.
+
+EPS = np.finfo(np.float64).eps
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def oracle_tolerance(n: int, cond: float) -> float:
+    """Absolute error allowed between covcast and the oracle for a value
+    built from the eigenvalues of an ``n x n`` matrix of condition number
+    ``cond``.
+
+    A backward-stable Hermitian eigensolver returns each eigenvalue of ``A``
+    to within about ``n eps ||A||_2``, so each log-eigenvalue to within
+    ``n eps cond(A)``, and a Frobenius norm of ``n`` such terms to within
+    ``n^{3/2} eps cond(A)``.  scipy's Schur-based ``logm``/``sqrtm`` and its
+    generalized eigensolver err by the same order; the bound is doubled
+    because both sides err.
+    """
+    return 2 * n**1.5 * EPS * cond
+
+
+def random_pairs(n: int, eig_range, seed: int):
+    rng = np.random.default_rng(seed)
+    return [(random_spd(rng, n, eig_range), random_spd(rng, n, eig_range)) for _ in range(6)]
+
+
+def config_pairs(name: str):
+    """Each of a committed config's first three trial queries, paired with
+    the first six uplinks of its smallest dictionary."""
+    config = parse_config(CONFIG_DIR / name)
+    size = min(config.dict_sizes)
+    geometry = make_geometry(config)
+    dictionary = build_dictionary(
+        config, size, _rng(config.master_seed, _TAG_DICTIONARY, size, 0), geometry
+    )
+    queries = [_build_case(config, geometry, size, trial).query_ul for trial in range(3)]
+    return [(x, y) for x in queries for y in dictionary.uplinks[:6]]
+
+
+ORACLE_CASES = {
+    "random-3": lambda: random_pairs(3, (0.1, 10.0), 20),
+    "random-8": lambda: random_pairs(8, (0.1, 10.0), 21),
+    # the covariances' dynamic range: a 1e-9 floor under signal up to 1e-3
+    "random-ill-4": lambda: random_pairs(4, (1e-9, 1e-3), 22),
+    "desk_ula": lambda: config_pairs("desk_ula.cfg"),
+    "desk_random": lambda: config_pairs("desk_random.cfg"),
+    "paper_scale": lambda: config_pairs("paper_scale.cfg"),
+}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_CASES))
+def oracle_pairs(request):
+    return ORACLE_CASES[request.param]()
+
+
+class TestScipyOracle:
+    def test_affine_invariant_distance(self, oracle_pairs):
+        # d(X, Y)^2 is the sum of squared logs of the generalized
+        # eigenvalues of Y v = lambda X v, those of X^{-1/2} Y X^{-1/2},
+        # whose condition number is at most cond(X) cond(Y).
+        for x, y in oracle_pairs:
+            lam = scipy.linalg.eigh(y.mat, x.mat, eigvals_only=True)
+            expected = np.sqrt(np.sum(np.log(lam) ** 2))
+            tol = oracle_tolerance(x.dim, np.linalg.cond(x.mat) * np.linalg.cond(y.mat))
+            assert abs(distance(Metric.AFFINE_INVARIANT, x, y) - expected) <= tol
+
+    def test_log_euclidean_distance_and_log_maps(self, oracle_pairs):
+        # log X and log Y err independently, each by its own conditioning
+        for x, y in oracle_pairs:
+            expected = scipy.linalg.logm(y.mat) - scipy.linalg.logm(x.mat)
+            tol = oracle_tolerance(x.dim, np.linalg.cond(x.mat) + np.linalg.cond(y.mat))
+            got = distance(Metric.LOG_EUCLIDEAN, x, y)
+            assert abs(got - np.linalg.norm(expected)) <= tol
+            for fn in (log_map, whitened_log_map):
+                assert frob(fn(Metric.LOG_EUCLIDEAN, x, y).mat - expected) <= tol
+
+    def test_affine_invariant_log_maps(self, oracle_pairs):
+        # whitened: log(X^{-1/2} Y X^{-1/2}); ambient: X^{1/2} (that) X^{1/2},
+        # whose error is the whitened one scaled by ||X||_2
+        for x, y in oracle_pairs:
+            root = scipy.linalg.sqrtm(x.mat)
+            inv_root = np.linalg.inv(root)
+            whitened = scipy.linalg.logm(inv_root @ y.mat @ inv_root)
+            ambient = root @ whitened @ root
+            tol = oracle_tolerance(x.dim, np.linalg.cond(x.mat) * np.linalg.cond(y.mat))
+            got = whitened_log_map(Metric.AFFINE_INVARIANT, x, y).mat
+            assert frob(got - whitened) <= tol
+            got = log_map(Metric.AFFINE_INVARIANT, x, y).mat
+            assert frob(got - ambient) <= tol * np.linalg.norm(x.mat, 2)
+
+    def test_euclidean_distance_and_log_maps(self, oracle_pairs):
+        # a difference and its norm: exact but for the norm's rounding
+        for x, y in oracle_pairs:
+            expected = y.mat - x.mat
+            got = distance(Metric.EUCLIDEAN, x, y)
+            assert abs(got - np.linalg.norm(expected)) <= 4 * EPS * got
+            for fn in (log_map, whitened_log_map):
+                assert np.array_equal(fn(Metric.EUCLIDEAN, x, y).mat, expected)
