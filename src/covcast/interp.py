@@ -258,10 +258,10 @@ def mirror_weights(
     The ``k_s = min(n_ul^2, K)`` uplink entries closest to the query are
     selected (by :func:`~covcast.spd.nearest`, ties toward the lowest
     index); the weights minimize, over the simplex, the norm of the
-    weighted sum of logarithmic-map tangent vectors from the query to those
-    entries, measured in the metric's own norm at the query (for the
-    affine-invariant metric, ``||X^{-1/2} V X^{-1/2}||_F`` rather than the
-    ambient ``||V||_F``; see :func:`~covcast.spd.whitened_log_map`).  The
+    weighted sum of the tangents from the query to those entries, in the
+    metric's own norm at the query: :func:`~covcast.spd.log_maps` returns
+    them in coordinates where that norm is Frobenius (for the
+    affine-invariant metric, whitened, ``||X^{-1/2} V X^{-1/2}||_F``).  The
     simplex QP takes the tangents as the columns of their real
     ``(2 n^2, k_s)`` view.  Entries outside the selected set receive weight
     zero.
@@ -270,7 +270,7 @@ def mirror_weights(
     k_s = min(dictionary.uplink_dim**2, k)
     selected = nearest(metric, dictionary.uplink_stack, query, k_s)[0]
 
-    tangents = log_maps(metric, query, dictionary.uplink_stack, selected, whitened=True)
+    tangents = log_maps(metric, query, dictionary.uplink_stack, selected)
     w_sel = solve_simplex_qp(tangents.reshape(k_s, -1).view(np.float64).T).w
 
     w = np.zeros(k)
@@ -290,7 +290,8 @@ def _kernel_tangent_norms(rows: np.ndarray, half_d2: np.ndarray, log_sigma):
     ``m`` bandwidths is one ``(m, K)`` by ``(K, 2 n^2)`` matrix product; a
     scalar is one matrix-vector product.
     """
-    kernel = np.exp(np.multiply.outer(-np.exp(-2.0 * np.asarray(log_sigma)), half_d2))
+    with np.errstate(over="ignore"):  # a logit of -inf is the weight 0
+        kernel = np.exp(np.multiply.outer(-np.exp(-2.0 * np.asarray(log_sigma)), half_d2))
     return np.linalg.norm(kernel @ rows, axis=-1) / kernel.sum(axis=-1)
 
 
@@ -300,9 +301,12 @@ def select_bandwidth(
     """Per-query kernel bandwidth minimizing the tangent-mean norm, and the
     kernel weights at that bandwidth.
 
-    Minimizes ``||sum_k w_k(sigma) log_map(query, uplink_k)||_F`` over
-    ``sigma > 0``, where ``w(sigma)`` are the normalized Gaussian-kernel
-    weights over the full dictionary.  The search runs on ``log sigma`` over
+    Minimizes ``||sum_k w_k(sigma) T_k||_F`` over ``sigma > 0``, where
+    ``w(sigma)`` are the normalized Gaussian-kernel weights over the full
+    dictionary and ``T_k`` the :func:`~covcast.spd.log_maps` tangents to the
+    uplinks, whose Frobenius norm is the metric's own at the query (for the
+    affine-invariant metric ``||X^{-1/2} V X^{-1/2}||_F``, so ``sigma`` is
+    invariant under congruence).  The search runs on ``log sigma`` over
     ``[ln(d_min/10), ln(10 d_max)]`` (``d_min``/``d_max`` the smallest
     nonzero and largest dictionary distances to the query): a 64-point scan
     locates the best bracket, golden-section refines within it until the
@@ -342,7 +346,8 @@ def select_bandwidth(
     d = distances(metric, dictionary.uplink_stack, query)
     order = np.argsort(d, kind="stable")
     sigma, flags = _search_bandwidth(dictionary, query, metric, d, order)
-    kernel = np.exp(-(d**2) / (2.0 * sigma**2))
+    with np.errstate(over="ignore"):  # a logit of -inf is the weight 0
+        kernel = np.exp(-(d**2) / (2.0 * sigma**2))
     return sigma, WeightVector(kernel / kernel[order].sum()), flags
 
 

@@ -248,20 +248,13 @@ def _inverse_spectral(u: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _herm((u / values[..., None, :]) @ _ct(u))
 
 
-def _sqrtm_invsqrtm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square root and its inverse from a single eigendecomposition."""
+def _invsqrtm(a: np.ndarray, *fns) -> tuple[np.ndarray, ...]:
+    """Inverse principal square root, then ``U diag(f(λ)) U^H`` for each
+    eigenvalue function ``f`` in ``fns`` (``np.sqrt`` gives bitwise
+    :func:`_sqrtm`, ``np.log`` :func:`_logm`), from a single eigendecomposition."""
     w, u = _eigh_sym(a)
     _check_positive(w, "matrix square root undefined on the cone")
-    s = np.sqrt(w)
-    return _spectral(u, s), _inverse_spectral(u, s)
-
-
-def _logm_invsqrtm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logarithm and inverse principal square root from a single
-    eigendecomposition, bitwise :func:`_logm` and :func:`_sqrtm_invsqrtm`."""
-    w, u = _eigh_sym(a)
-    _check_positive(w, "matrix logarithm undefined")
-    return _spectral(u, np.log(w)), _inverse_spectral(u, np.sqrt(w))
+    return (_inverse_spectral(u, np.sqrt(w)), *(_spectral(u, f(w)) for f in fns))
 
 
 def _hermitian_congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -363,7 +356,7 @@ def exp_map(metric: Metric, x: SPDMatrix, v: HermitianTangent) -> SPDMatrix:
             ) from exc
     if metric is Metric.LOG_EUCLIDEAN:
         return SPDMatrix(_expm(_logm(x.mat) + v.mat))
-    sq, isq = _sqrtm_invsqrtm(x.mat)
+    isq, sq = _invsqrtm(x.mat, np.sqrt)
     inner = _expm(_hermitian_congruence(isq, v.mat))
     return SPDMatrix(_hermitian_congruence(sq, inner))
 
@@ -372,12 +365,15 @@ def log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTangent:
     """Logarithmic map: tangent velocity at ``x`` reaching ``y``.
 
     Euclidean: ``Y - X``.  Log-Euclidean: ``log Y - log X``.
-    Affine-invariant: ``X^{1/2} log(X^{-1/2} Y X^{-1/2}) X^{1/2}``.
+    Affine-invariant: ``X^{1/2} log(X^{-1/2} Y X^{-1/2}) X^{1/2}``, the
+    :func:`whitened_log_map` tangent congruenced back by ``X^{1/2}``.
     Inverse of :func:`exp_map` for every metric:
-    ``exp_map(m, x, log_map(m, x, y)) == y``.  Computed as the one-row case
-    of :func:`log_maps`, with ``y`` the stack.
+    ``exp_map(m, x, log_map(m, x, y)) == y``.
     """
-    return HermitianTangent(log_maps(metric, x, SPDStack._of(y), (0,))[0])
+    v = log_maps(metric, x, SPDStack._of(y), (0,))
+    if metric is Metric.AFFINE_INVARIANT:
+        v = _hermitian_congruence(_sqrtm(x.mat), v)
+    return HermitianTangent(v[0])
 
 
 def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTangent:
@@ -390,9 +386,9 @@ def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTan
     product ``tr(X^{-1} U X^{-1} V)``, Pennec, Fillard & Ayache 2006), so it
     is returned whitened, as ``log(X^{-1/2} Y X^{-1/2})``.  In every case the
     Frobenius norm of the result equals ``distance(metric, x, y)``.
-    Computed as the one-row case of ``log_maps(..., whitened=True)``.
+    Computed as the one-row case of :func:`log_maps`, with ``y`` the stack.
     """
-    return HermitianTangent(log_maps(metric, x, SPDStack._of(y), (0,), whitened=True)[0])
+    return HermitianTangent(log_maps(metric, x, SPDStack._of(y), (0,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +482,7 @@ def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
         return _frobs(points.mats - x.mat)
     if metric is Metric.LOG_EUCLIDEAN:
         return _frobs(points.logs - _logm(x.mat))
-    return _ai_distances(_sqrtm_invsqrtm(x.mat)[1], points.mats)
+    return _ai_distances(_invsqrtm(x.mat)[0], points.mats)
 
 
 def nearest(
@@ -541,7 +537,7 @@ def nearest(
         idx = np.argsort(d, kind="stable")[:k]
         return idx, d[idx]
     _check_same_dim(points, x, "nearest")
-    log_x, isq = _logm_invsqrtm(x.mat)
+    isq, log_x = _invsqrtm(x.mat, np.log)
     lower = _frobs(points.logs - log_x)
     first = np.argsort(lower, kind="stable")[:k]
     d = np.full(len(points), np.inf)
@@ -554,15 +550,13 @@ def nearest(
     return idx, d[idx]
 
 
-def log_maps(
-    metric: Metric, x: SPDMatrix, points: SPDStack, idx, *, whitened: bool = False
-) -> np.ndarray:
+def log_maps(metric: Metric, x: SPDMatrix, points: SPDStack, idx) -> np.ndarray:
     """Tangents at ``x`` reaching the points at ``idx``, stacked, bitwise.
 
-    Slice ``j`` is ``log_map(metric, x, points[idx[j]]).mat``, or with
-    ``whitened`` the :func:`whitened_log_map` tangent.  ``x`` costs one
-    eigendecomposition at most; the affine-invariant tangents take one
-    stacked congruence and one stacked logarithm.
+    Slice ``j`` is ``whitened_log_map(metric, x, points[idx[j]]).mat``, the
+    tangent in coordinates whose Frobenius norm is the metric's norm at ``x``.
+    ``x`` costs one eigendecomposition at most; the affine-invariant tangents
+    take one stacked congruence and one stacked logarithm.
     """
     _check_same_dim(points, x, "log_maps")
     idx = np.asarray(idx, dtype=np.intp)
@@ -576,9 +570,7 @@ def log_maps(
         tangents = points.logs[idx]
         tangents -= _logm(x.mat)
         return tangents
-    sq, isq = _sqrtm_invsqrtm(x.mat)
-    inner = _logm(_hermitian_congruence(isq, points.mats[idx]))
-    return inner if whitened else _hermitian_congruence(sq, inner)
+    return _logm(_hermitian_congruence(_invsqrtm(x.mat)[0], points.mats[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +621,7 @@ class _KarcherIterate:
 
     def __init__(self, x: np.ndarray, mats: np.ndarray, w: np.ndarray) -> None:
         self.x = x
-        self.sq, isq = _sqrtm_invsqrtm(x)
+        isq, self.sq = _invsqrtm(x, np.sqrt)
         e, self.u = _eigh_sym(_hermitian_congruence(isq, mats))
         _check_positive(e, "matrix logarithm undefined")
         self.mu = np.log(e)

@@ -1,6 +1,7 @@
 """Weight-selection schemes and the dictionary estimator."""
 
 import pickle
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from covcast.spd import (
     nearest,
     whitened_log_map,
 )
-from helpers import frob, random_spd
+from helpers import frob, random_invertible, random_spd
 
 METRICS = list(Metric)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -431,8 +432,10 @@ class TestSelectBandwidth:
             return real(rows, half_d2, log_sigma)
 
         monkeypatch.setattr(interp, "_kernel_tangent_norms", counted)
-        # the far entry's logit overflows to -inf: weight zero, as it should be
-        with np.errstate(over="ignore"):
+        # the far entry's logit overflows to -inf: weight zero, as it should
+        # be, and no overflow warning reaches the caller
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sigma, w, flags = select_bandwidth(d, query, Metric.EUCLIDEAN)
         assert flags == () and dist.min() / 10 <= sigma <= 10 * dist.max()
         assert 0 < len(refinements) <= self.MAX_EVALS
@@ -466,7 +469,7 @@ class TestSelectBandwidth:
 
         # independent oracle: direct objective over a 1000-point log grid
         dists = np.array([distance(metric, ul, q) for ul in d.uplinks])
-        tangents = np.stack([log_map(metric, q, ul).mat for ul in d.uplinks])
+        tangents = np.stack([whitened_log_map(metric, q, ul).mat for ul in d.uplinks])
 
         def objective(s):
             logits = -(dists**2) / (2.0 * s**2)
@@ -508,7 +511,7 @@ class TestSelectBandwidth:
 
         # and the complex tangent mean with max-subtracted kernel weights
         dists = np.array([distance(metric, q, ul) for ul in d.uplinks])
-        tangents = np.stack([log_map(metric, q, ul).mat for ul in d.uplinks])
+        tangents = np.stack([whitened_log_map(metric, q, ul).mat for ul in d.uplinks])
 
         def objective(x):
             logits = -(dists**2) / (2.0 * np.exp(2.0 * x))
@@ -534,6 +537,42 @@ class TestSelectBandwidth:
 
 # ---------------------------------------------------------------------------
 # End-to-end estimation
+
+
+class TestAffineInvariance:
+    def test_weights_survive_a_congruence(self):
+        # Under the affine-invariant metric, P -> A P A^H applied to the
+        # query and every uplink changes no distance and no tangent norm,
+        # so it must change no scheme's weights.
+        metric = Metric.AFFINE_INVARIANT
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            pairs = [(random_spd(rng, 3), random_spd(rng, 3)) for _ in range(10)]
+            q = random_spd(rng, 3)
+            a = random_invertible(rng, 3)
+
+            def congruent(p):
+                m = a @ p.mat @ a.conj().T
+                return SPDMatrix((m + m.conj().T) / 2)
+
+            d = Dictionary(pairs)
+            moved = Dictionary([(congruent(ul), dl) for ul, dl in pairs])
+            q_moved = congruent(q)
+
+            assert np.array_equal(
+                nearest_neighbor_weights(moved, q_moved, metric).w,
+                nearest_neighbor_weights(d, q, metric).w,
+            )
+            np.testing.assert_allclose(
+                mirror_weights(moved, q_moved, metric).w,
+                mirror_weights(d, q, metric).w,
+                rtol=0.0,
+                atol=1e-10,
+            )
+            sigma, _, flags = select_bandwidth(d, q, metric)
+            sigma_moved, _, flags_moved = select_bandwidth(moved, q_moved, metric)
+            assert flags == flags_moved == ()
+            assert sigma_moved == pytest.approx(sigma, rel=1e-6), f"seed {seed}"
 
 
 class TestEstimateDownlink:
@@ -662,9 +701,8 @@ def per_entry_ai_distances(isq, mats):
     return np.concatenate([REAL_AI_DISTANCES(isq, mats[j : j + 1]) for j in range(len(mats))])
 
 
-def per_entry_log_maps(metric, x, points, idx, *, whitened=False):
-    fn = whitened_log_map if whitened else log_map
-    return np.stack([fn(metric, x, points[int(i)]).mat for i in idx])
+def per_entry_log_maps(metric, x, points, idx):
+    return np.stack([whitened_log_map(metric, x, points[int(i)]).mat for i in idx])
 
 
 def same_estimate(a, b) -> bool:
