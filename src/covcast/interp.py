@@ -26,7 +26,6 @@ from .spd import (
     SPDMatrix,
     SPDStack,
     barycenter,
-    distances,
     log_maps,
     nearest,
 )
@@ -51,6 +50,9 @@ FLAG_KARCHER_NONCONVERGED = "karcher-nonconverged"
 FLAG_KARCHER_FLOOR = "karcher-floor"
 
 _BANDWIDTH_SCAN_POINTS = 64
+# Kernel weights below 2^-52 of the largest are cut to zero; as a logit,
+# ln 2^-52 (see select_bandwidth).
+_LOG_CUT = -52.0 * np.log(2.0)
 
 
 class Dictionary:
@@ -278,48 +280,93 @@ def mirror_weights(
     return WeightVector(w)
 
 
-def _kernel_tangent_norms(rows: np.ndarray, half_d2: np.ndarray, log_sigma):
+def _norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of each row of ``a``, at any scale.
+
+    A row whose plain norm lies outside ``[2^-480, 2^480]``, where a square
+    may have under- or overflowed, is summed again after dividing it by the
+    power of two at or above its largest entry, and its norm multiplied
+    back: powers of two scale exactly.  Inside that range the squares that
+    underflow add at most ``2^-62`` of the sum per entry, far below its
+    rounding, and none overflows.
+    """
+    with np.errstate(over="ignore"):  # an overflowed row is summed again
+        d = np.sqrt(np.einsum("ij,ij->i", a, a))
+    far = ~((d >= 2.0**-480) & (d <= 2.0**480))
+    if far.any():
+        exponent = np.frexp(np.abs(a[far]).max(axis=-1))[1]
+        scaled = np.ldexp(a[far], -exponent[:, None])
+        d[far] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
+    return d
+
+
+def _kernel_logits(d: np.ndarray, log_sigma) -> np.ndarray:
+    """Kernel logits ``-(d_k^2 - d_0^2) / (2 sigma^2)`` of the ascending
+    distances ``d``, one row per value of ``log_sigma``.
+
+    Computed as ``-(z_k^2 - z_0^2) / 2`` with ``z = d / sigma``, so no power
+    of ``sigma`` is formed and the logits depend on the distances' scale
+    only through ``d / sigma``.  The nearest logit is exactly 0 and the rest
+    do not increase along ``d``, bit for bit (each step is monotone in
+    ``d_k``), so the logits at or above a cut form a prefix.  Where
+    ``sigma >= d_min / 10`` (every bandwidth :func:`select_bandwidth`
+    tries), ``z_0 <= 10``: a far ``z_k`` that overflows gives the logit
+    -inf, which is the weight 0, never NaN; :func:`select_bandwidth` runs
+    its search under ``np.errstate(over="ignore")`` for that reason.
+    """
+    z = np.multiply.outer(np.exp(-log_sigma), d)
+    z *= z
+    z -= z[..., :1]
+    z *= -0.5
+    return z
+
+
+def _kernel_tangent_norms(rows: np.ndarray, d: np.ndarray, log_sigma):
     """``||sum_k w_k(sigma) T_k||_F`` at each ``log_sigma``, with kernel weights.
 
     ``rows`` holds the tangents ``T_k`` in real coordinates, one ``(2 n^2,)``
     row each, so the Frobenius norm of a weighted tangent sum is the 2-norm
-    of the same weighted sum of rows.  ``half_d2`` is ``(d_k^2 - d_0^2) / 2``
-    for the distance-sorted entries: every logit is at most 0 and the nearest
-    one is exactly 0, so the kernel sum is at least 1 over the whole search
-    bracket, even where the raw Gaussian kernel underflows.  An array of
-    ``m`` bandwidths is one ``(m, K)`` by ``(K, 2 n^2)`` matrix product; a
-    scalar is one matrix-vector product.
+    of the same weighted sum of rows; ``d`` holds their distances, ascending.
+    The kernel values ``exp`` of :func:`_kernel_logits` are 1 at the nearest
+    entry, so their sum is at least 1 over the whole search bracket, even
+    where the raw Gaussian kernel underflows.  An array of ``m`` bandwidths
+    is one ``(m, K)`` by ``(K, 2 n^2)`` matrix product; a scalar is one
+    matrix-vector product.
     """
-    with np.errstate(over="ignore"):  # a logit of -inf is the weight 0
-        kernel = np.exp(np.multiply.outer(-np.exp(-2.0 * np.asarray(log_sigma)), half_d2))
-    return np.linalg.norm(kernel @ rows, axis=-1) / kernel.sum(axis=-1)
+    kernel = np.exp(_kernel_logits(d, log_sigma))
+    v = kernel @ rows
+    return np.sqrt(np.sum(v * v, axis=-1)) / kernel.sum(axis=-1)
 
 
 def select_bandwidth(
     dictionary: Dictionary, query: SPDMatrix, metric: Metric
 ) -> tuple[float, WeightVector, tuple[str, ...]]:
     """Per-query kernel bandwidth minimizing the tangent-mean norm, and the
-    kernel weights at that bandwidth.
+    kernel weights at that bandwidth, over their effective support.
 
     Minimizes ``||sum_k w_k(sigma) T_k||_F`` over ``sigma > 0``, where
-    ``w(sigma)`` are the normalized Gaussian-kernel weights over the full
-    dictionary and ``T_k`` the :func:`~covcast.spd.log_maps` tangents to the
-    uplinks, whose Frobenius norm is the metric's own at the query (for the
-    affine-invariant metric ``||X^{-1/2} V X^{-1/2}||_F``, so ``sigma`` is
-    invariant under congruence).  The search runs on ``log sigma`` over
-    ``[ln(d_min/10), ln(10 d_max)]`` (``d_min``/``d_max`` the smallest
-    nonzero and largest dictionary distances to the query): a 64-point scan
-    locates the best bracket, golden-section refines within it until the
-    bracket is no wider than ``1e-14 max(1, |a|, |b|)``.  Deterministic.
+    ``w(sigma)`` are the normalized Gaussian-kernel weights
+    ``w_k ∝ exp(-d_k^2 / (2 sigma^2))`` and ``T_k`` the
+    :func:`~covcast.spd.log_maps` tangents to the uplinks, whose Frobenius
+    norm is the metric's own at the query (for the affine-invariant metric
+    ``||X^{-1/2} V X^{-1/2}||_F``, so ``sigma`` is invariant under
+    congruence).  The distances ``d_k`` are the Frobenius norms of those
+    same tangents, the metric's distances by construction, so one
+    ``log_maps`` call (for the affine-invariant metric, one stacked
+    eigendecomposition) serves the whole query.  The search runs on
+    ``log sigma`` over ``[ln(d_min/10), ln(10 d_max)]`` (``d_min``/``d_max``
+    the smallest nonzero and largest distances): a 64-point scan over every
+    entry locates the best bracket, golden-section refines within it until
+    the bracket is no wider than ``1e-14 max(1, |a|, |b|)``.  Deterministic.
 
-    For any finite distances the refinement takes at most 76 evaluations.
-    A nonzero distance is the square root of a finite float64 sum of
-    squares, so it lies in ``[2^-537, 2^512)``: the scan spans under
-    ``ln 100 + 1049 ln 2 = 731.7``, the refined bracket (two of its 63
-    intervals) under 23.23, and :func:`_golden_section` stops within
-    ``ceil(ln(23.23 / 1e-14) / ln(phi)) = 74`` steps.
+    For any finite distances the refinement takes at most 77 evaluations.
+    A nonzero distance is the norm of a row with an entry of at least the
+    smallest subnormal float64, so it lies in ``[2^-1074, 2^1024)``: the
+    scan spans under ``ln 100 + 2098 ln 2 = 1458.9``, the refined bracket
+    (two of its 63 intervals) under 46.32, and :func:`_golden_section` stops
+    within ``ceil(ln(46.32 / 1e-14) / ln(phi)) = 75`` steps.
 
-    The tangents are stacked once, in distance order, as the real
+    The tangents are held once, in distance order, as the real
     ``(K, 2 n^2)`` view of their complex entries (see
     :func:`_kernel_tangent_norms`).  The scan's 64 objective values are one
     matrix product of their ``(64, K)`` kernel weights with these rows; each
@@ -328,63 +375,97 @@ def select_bandwidth(
     selected bandwidth, invariant under dictionary permutation down to the
     bit level.
 
-    Degenerate cases are flagged rather than guessed: if every distance is
-    zero there is nothing to tune (``degenerate-bandwidth``); if the
-    objective is flat over the bracket the returned interior point is
-    arbitrary (``flat-bandwidth``).
+    **The cut.**  A weight below ``2^-52`` times the largest (a logit below
+    ``ln 2^-52``) is zeroed, and the rest are renormalized by their sum in
+    distance order, so they too permute with the dictionary bit for bit and
+    fall with distance.  The logits fall with distance, so the kept entries
+    are a prefix of the distance order; :func:`~covcast.spd.barycenter`
+    skips the rest.  The golden-section phase reads only the prefix that is
+    kept at the bracket's largest bandwidth ``b``: a logit
+    ``-(d_k^2 - d_0^2) / (2 sigma^2)`` only falls as ``sigma`` shrinks, so
+    no bandwidth in the bracket gives the other rows a weight above the
+    cut.  How far the dropped terms can move each result, with ``kappa_k``
+    the kernel values (1 at the nearest entry, so their sum ``S >= 1``) and
+    ``delta`` the sum of the dropped ones, each below ``2^-52``, so
+    ``delta < (K - m) 2^-52`` for ``m`` kept entries:
 
-    The weights ``w_k ∝ exp(-d_k^2 / (2 sigma^2))`` are built from the
-    distances the search used, and normalized by their sum in distance
-    order, so they too permute with the dictionary bit for bit.  Since
-    ``sigma >= d_min / 10``, the nearest entry's logit is at least -50 and
-    the kernel sum cannot underflow.
+    * the tangent sum ``sum kappa_k T_k`` by at most ``delta d_max``, as
+      ``||T_k||_F = d_k``; the weight sum ``S`` by ``delta``; so the
+      objective ``||sum kappa_k T_k|| / S`` by at most
+      ``delta (d_max + J)``, ``J`` its value over the kept rows, at every
+      bandwidth up to ``b``;
+    * the normalized weights by ``2 delta / S <= 2 delta`` in the 1-norm;
+    * the barycenter, under every metric, by at most
+      ``2 delta max_k d(Y, D_k)`` in that metric's distance, ``Y`` the mean
+      of the uncut weights and ``D_k`` the downlinks.  The mean minimizes
+      ``f(Y) = 1/2 sum w_k d(Y, D_k)^2``, whose Hessian is at least the
+      identity (exactly the identity for the Euclidean and log-Euclidean
+      metrics, see :func:`~covcast.spd._karcher_hessian` for the
+      affine-invariant one), so ``f`` is 1-strongly geodesically convex and
+      a point's distance to the minimizer is at most its gradient norm.
+      The gradient of the cut objective at ``Y`` is
+      ``-sum (w'_k - w_k) Log_Y(D_k)``, of norm at most
+      ``2 delta max_k d(Y, D_k)``.
+
+    That is, the dropped terms move each sum by no more than twice the
+    rounding error bound of a ``K``-term float64 sum, ``K 2^-53`` of its
+    size.
+
+    Degenerate cases are flagged rather than guessed: if every distance is
+    zero there is nothing to tune (``degenerate-bandwidth``, ``sigma = 1``
+    and uniform weights); if the scanned objective varies by no more than
+    ``1e-12 d_max`` (it never exceeds ``d_max``, so the test does not depend
+    on the distances' scale) the returned scan point is arbitrary
+    (``flat-bandwidth``).
 
     Returns
     -------
     (sigma, weights, flags)
     """
-    d = distances(metric, dictionary.uplink_stack, query)
+    k = len(dictionary)
+    tangents = log_maps(metric, query, dictionary.uplink_stack, np.arange(k))
+    rows = tangents.reshape(k, -1).view(np.float64)
+    d = _norms(rows)
     order = np.argsort(d, kind="stable")
-    sigma, flags = _search_bandwidth(dictionary, query, metric, d, order)
-    with np.errstate(over="ignore"):  # a logit of -inf is the weight 0
-        kernel = np.exp(-(d**2) / (2.0 * sigma**2))
-    return sigma, WeightVector(kernel / kernel[order].sum()), flags
-
-
-def _search_bandwidth(
-    dictionary: Dictionary,
-    query: SPDMatrix,
-    metric: Metric,
-    d: np.ndarray,
-    order: np.ndarray,
-) -> tuple[float, tuple[str, ...]]:
-    """The bandwidth search of :func:`select_bandwidth` over the query's
-    uplink distances ``d``, whose stable ascending ``order`` it is given;
-    returns ``(sigma, flags)``."""
+    # The search runs in units of a power of two between the smallest
+    # nonzero and the largest distance: scaling by it is exact, so its
+    # arithmetic and its stopping rule do not depend on the data's scale.
     nonzero = d[d > 0.0]
-    if nonzero.size == 0:
-        return 1.0, (FLAG_DEGENERATE_BANDWIDTH,)
+    unit = 1.0
+    if nonzero.size:
+        unit = np.ldexp(1.0, (np.frexp(nonzero.min())[1] + np.frexp(nonzero.max())[1]) // 2)
+    d = d[order] / unit
+    rows = rows[order]
+    rows /= unit
+    with np.errstate(over="ignore"):  # a logit of -inf is the weight 0
+        log_sigma, flags = _search_bandwidth(rows, d)
+        logits = _kernel_logits(d, log_sigma)
+    kept = np.count_nonzero(logits >= _LOG_CUT)
+    kernel = np.exp(logits[:kept])
+    w = np.zeros(k)
+    w[order[:kept]] = kernel / kernel.sum()
+    return float(unit * np.exp(log_sigma)), WeightVector(w), flags
 
-    tangents = log_maps(metric, query, dictionary.uplink_stack, order)
-    rows = tangents.reshape(order.size, -1).view(np.float64)
-    d2 = d[order] ** 2
-    half_d2 = (d2 - d2[0]) / 2.0
 
-    lo = float(np.log(nonzero.min() / 10.0))
-    hi = float(np.log(10.0 * d.max()))
+def _search_bandwidth(rows: np.ndarray, d: np.ndarray) -> tuple[float, tuple[str, ...]]:
+    """The bandwidth search of :func:`select_bandwidth` over the real tangent
+    ``rows`` and their ascending distances ``d``; returns
+    ``(log sigma, flags)``."""
+    if d[-1] == 0.0:
+        return 0.0, (FLAG_DEGENERATE_BANDWIDTH,)
 
+    lo = float(np.log(d[d > 0.0][0] / 10.0))
+    hi = float(np.log(10.0 * d[-1]))
     xs = np.linspace(lo, hi, _BANDWIDTH_SCAN_POINTS)
-    js = _kernel_tangent_norms(rows, half_d2, xs)
+    js = _kernel_tangent_norms(rows, d, xs)
     best = int(np.argmin(js))
-
-    flat = (js.max() - js.min()) <= 1e-12 * max(1.0, float(js.max()))
-    if flat:
-        return float(np.exp(xs[best])), (FLAG_FLAT_BANDWIDTH,)
+    if js.max() - js.min() <= 1e-12 * d[-1]:
+        return float(xs[best]), (FLAG_FLAT_BANDWIDTH,)
 
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, xs.size - 1)]
-    x_star = _golden_section(lambda x: _kernel_tangent_norms(rows, half_d2, x), a, b)
-    return float(np.exp(x_star)), ()
+    m = np.count_nonzero(_kernel_logits(d, b) >= _LOG_CUT)
+    return _golden_section(lambda x: _kernel_tangent_norms(rows[:m], d[:m], x), a, b), ()
 
 
 def _golden_section(fn, a: float, b: float) -> float:
@@ -421,7 +502,8 @@ def estimate_downlink(
     the bandwidth :func:`select_bandwidth` searches per query), then returns
     the weighted barycenter of the dictionary downlink matrices under the
     same metric.  An affine-invariant barycenter is flagged
-    ``karcher-nonconverged`` when its Newton iteration stops at the cap, and
+    ``karcher-nonconverged`` when its Newton iteration stops at the cap or
+    stalls above ``KARCHER_FLOOR_TOL`` (see :func:`~covcast.spd.barycenter`), and
     ``karcher-floor`` when it converged at the float64 noise floor, with a
     residual between ``KARCHER_TOL`` and ``KARCHER_FLOOR_TOL``.
     """

@@ -57,6 +57,10 @@ KARCHER_FLOOR_TOL = 1e-8
 KARCHER_MAX_ITER = 200
 # Relative residual to which conjugate gradients solves each Newton system.
 _NEWTON_CG_RTOL = 1e-6
+# A whitened Karcher step ``t V`` with ``||t V||_F`` below this leaves the
+# iterate unchanged up to float64 rounding: ``exp(t V)`` is the identity to
+# within an ulp.
+_STEP_RESOLUTION = np.finfo(np.float64).eps
 
 # Slack, in the log units of both distances, by which the affine-invariant
 # nearest-entry search of :func:`nearest` widens its log-Euclidean cut; the
@@ -587,8 +591,10 @@ class BarycenterResult:
     ``KARCHER_TOL``, or stopped at the float64 noise floor: the residual
     was below ``KARCHER_FLOOR_TOL`` and a unit Newton step failed to halve
     it, so ``point`` and ``residual`` are the iterate before that step.  It is
-    False when ``KARCHER_MAX_ITER`` iterations pass without either;
-    ``point`` is then the last accepted iterate.
+    False when ``KARCHER_MAX_ITER`` iterations pass without either, or when
+    the line search stalls above ``KARCHER_FLOOR_TOL``, halving the step
+    until it can no longer move the iterate; ``point`` is then the last
+    accepted iterate.
     """
 
     point: SPDMatrix
@@ -709,8 +715,12 @@ def barycenter(
     below ``KARCHER_TOL``; or, at the float64 noise floor of badly
     conditioned points, when the residual is below ``KARCHER_FLOOR_TOL`` and
     a unit step fails to halve it, returning the iterate before that step as
-    converged; or after ``KARCHER_MAX_ITER`` iterations (every trial step
-    counts as one), returning the last accepted iterate as not converged.
+    converged; or, when the residual is above ``KARCHER_FLOOR_TOL``, once
+    the halved step ``t V`` has ``||t V||_F < 2^-52``, so it can no longer
+    move the iterate beyond rounding, returning the iterate before that step
+    as not converged (a stall that would otherwise halve ``t`` until the
+    cap); or after ``KARCHER_MAX_ITER`` iterations (every trial step counts
+    as one), returning the last accepted iterate as not converged.
 
     Parameters
     ----------
@@ -752,6 +762,7 @@ def barycenter(
     iterations = 0
     while here.residual >= KARCHER_TOL:
         step = _conjugate_gradient(_karcher_hessian(here.u, here.mu, wa), here.tangent)
+        step_norm = float(_frobs(step[None])[0])
         t = 1.0
         while True:
             if iterations >= KARCHER_MAX_ITER:
@@ -765,5 +776,8 @@ def barycenter(
                 # float64 permits for this conditioning
                 return BarycenterResult(SPDMatrix(here.x), True, iterations, here.residual)
             t /= 2.0
+            if t * step_norm < _STEP_RESOLUTION:
+                # stalled above the noise floor: no step can move the iterate
+                return BarycenterResult(SPDMatrix(here.x), False, iterations, here.residual)
         here = trial
     return BarycenterResult(SPDMatrix(here.x), True, iterations, here.residual)

@@ -45,6 +45,7 @@ from covcast.spd import (
     distance,
     distances,
     log_map,
+    log_maps,
     nearest,
     whitened_log_map,
 )
@@ -74,6 +75,19 @@ def make_dictionary(rng, k: int, n_ul: int = 3, n_dl: int = 3) -> Dictionary:
     return Dictionary(
         [(random_spd(rng, n_ul), random_spd(rng, n_dl)) for _ in range(k)]
     )
+
+
+def tangent_norm_distances(metric, q, d) -> np.ndarray:
+    """The kernel's distances: the Frobenius norm of each uplink's tangent."""
+    return np.array([np.linalg.norm(whitened_log_map(metric, q, ul).mat) for ul in d.uplinks])
+
+
+def cut_kernel_weights(dists: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-kernel weights with every weight below 2^-52 of the largest
+    zeroed, normalized by their sum in distance order."""
+    kernel = np.exp(-(dists**2 - dists.min() ** 2) / (2.0 * sigma**2))
+    kernel[kernel < 2.0**-52] = 0.0
+    return kernel / kernel[np.argsort(dists, kind="stable")].sum()
 
 
 @pytest.fixture(scope="module")
@@ -360,10 +374,11 @@ class TestKernelWeights:
         for metric in METRICS:
             sigma, w, flags = select_bandwidth(d, q, metric)
             assert flags == ()
-            dists = np.array([distance(metric, q, ul) for ul in d.uplinks])
-            expected = np.exp(-(dists**2) / (2.0 * sigma**2))
-            expected /= expected.sum()
+            dists = tangent_norm_distances(metric, q, d)
+            expected = cut_kernel_weights(dists, sigma)
             np.testing.assert_allclose(w.w, expected, rtol=1e-12, atol=0.0)
+            # the cut leaves the nearest entry and drops some weight
+            assert 0 < np.count_nonzero(expected) < len(d)
 
     def test_member_query_keeps_unit_kernel(self):
         rng = np.random.default_rng(15)
@@ -406,10 +421,10 @@ class TestSelectBandwidth:
         assert sigma > 0.0
         assert np.array_equal(w.w, [0.5, 0.5])
 
-    # Every distance is zero or in [2^-537, 2^512), so the refined bracket is
-    # narrower than two of the 63 scan intervals of ln(100 d_max / d_min) <
-    # ln 100 + 1049 ln 2, and golden section stops once it is 1e-14 wide.
-    WIDEST_BRACKET = 2 * (np.log(100.0) + 1049 * np.log(2.0)) / 63
+    # Every distance is zero or in [2^-1074, 2^1024), so the refined bracket
+    # is narrower than two of the 63 scan intervals of ln(100 d_max / d_min)
+    # < ln 100 + 2098 ln 2, and golden section stops once it is 1e-14 wide.
+    WIDEST_BRACKET = 2 * (np.log(100.0) + 2098 * np.log(2.0)) / 63
     MAX_EVALS = 2 + int(np.ceil(np.log(WIDEST_BRACKET / 1e-14) / np.log((1 + np.sqrt(5)) / 2)))
 
     def test_extreme_distance_ratio_ends_within_the_bound(self, monkeypatch):
@@ -426,10 +441,10 @@ class TestSelectBandwidth:
         real = interp._kernel_tangent_norms
         refinements = []
 
-        def counted(rows, half_d2, log_sigma):
+        def counted(rows, dists, log_sigma):
             if np.ndim(log_sigma) == 0:
                 refinements.append(log_sigma)
-            return real(rows, half_d2, log_sigma)
+            return real(rows, dists, log_sigma)
 
         monkeypatch.setattr(interp, "_kernel_tangent_norms", counted)
         # the far entry's logit overflows to -inf: weight zero, as it should
@@ -441,12 +456,32 @@ class TestSelectBandwidth:
         assert 0 < len(refinements) <= self.MAX_EVALS
         assert w.w[2] == 0.0
 
-    @pytest.mark.parametrize("a", [-374.53, -11.6, 333.9])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_uniform_scale_changes_nothing(self, metric):
+        # One dictionary at four uniform scales, down to where a squared
+        # distance or 1 / sigma^2 leaves the float64 normal range: the same
+        # flags and support, the same sigma / s, and no warning.
+        found = []
+        for s in (1.0, 1e-12, 1e-150, 1e-160):
+            query = SPDMatrix(s * np.eye(2))
+            uplinks = [s * 1.5 * np.eye(2), s * 3.0 * np.eye(2), s * np.diag([9.0, 0.5])]
+            d = Dictionary([(SPDMatrix(u), SPDMatrix(u)) for u in uplinks])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sigma, w, flags = select_bandwidth(d, query, metric)
+            scaled = sigma / s if metric is Metric.EUCLIDEAN else sigma
+            found.append((scaled, tuple(w.support), flags))
+        for scaled, support, flags in found[1:]:
+            assert (support, flags) == found[0][1:]
+            assert scaled == pytest.approx(found[0][0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a", [-730.1, -374.53, -11.6, 333.9, 683.8])
     @pytest.mark.parametrize("at", [0.01, 0.5, 0.99])
     def test_widest_bracket_ends_within_the_bound(self, a, at):
-        # the widest bracket at both ends of the log-distance range and in
-        # between, with the minimum near either end or in the middle
-        assert self.MAX_EVALS == 76  # as select_bandwidth's docstring states
+        # the widest bracket at both ends of the log-bandwidth range the
+        # search covers in its units (ln(2^-1050 / 10) to ln(10 2^1050)) and
+        # inside it, with the minimum near either end or in the middle
+        assert self.MAX_EVALS == 77  # as select_bandwidth's docstring states
         b = a + self.WIDEST_BRACKET
         target = a + at * (b - a)
         evals = []
@@ -492,31 +527,35 @@ class TestSelectBandwidth:
         norms = interp._kernel_tangent_norms
         calls = []
 
-        def recording(rows, half_d2, log_sigma):
-            value = norms(rows, half_d2, log_sigma)
-            calls.append((rows, half_d2, log_sigma, value))
+        def recording(rows, dists, log_sigma):
+            value = norms(rows, dists, log_sigma)
+            calls.append((rows, dists, log_sigma, value))
             return value
 
         monkeypatch.setattr(interp, "_kernel_tangent_norms", recording)
         _, _, flags = select_bandwidth(d, q, metric)
         assert flags == ()
-        rows, half_d2, xs, scan = calls[0]
+        rows, units, xs, scan = calls[0]
         assert xs.shape == scan.shape == (64,)
         assert 3 <= len(calls) <= 1 + 136  # the scan, then one row per golden step
         assert all(np.ndim(x) == 0 for _, _, x, _ in calls[1:])
 
         # one matrix-vector product per bandwidth
-        single = np.array([norms(rows, half_d2, x) for x in xs])
+        single = np.array([norms(rows, units, x) for x in xs])
         np.testing.assert_allclose(scan, single, rtol=1e-12, atol=0.0)
 
-        # and the complex tangent mean with max-subtracted kernel weights
-        dists = np.array([distance(metric, q, ul) for ul in d.uplinks])
+        # and the complex tangent mean with max-subtracted kernel weights,
+        # over every entry, at distances that are the tangents' norms; the
+        # search runs in units of a power of two
+        dists = tangent_norm_distances(metric, q, d)
         tangents = np.stack([whitened_log_map(metric, q, ul).mat for ul in d.uplinks])
+        unit = 2.0 ** np.round(np.log2(dists.max() / units[-1]))
+        np.testing.assert_allclose(np.sort(dists) / unit, units, rtol=1e-15, atol=0.0)
 
         def objective(x):
-            logits = -(dists**2) / (2.0 * np.exp(2.0 * x))
+            logits = -(dists**2) / (2.0 * (unit * np.exp(x)) ** 2)
             w = np.exp(logits - logits.max())
-            return np.linalg.norm(np.tensordot(w / w.sum(), tangents, axes=1), "fro")
+            return np.linalg.norm(np.tensordot(w / w.sum(), tangents, axes=1), "fro") / unit
 
         reference = np.array([objective(x) for x in xs])
         np.testing.assert_allclose(scan, reference, rtol=1e-12, atol=0.0)
@@ -615,19 +654,35 @@ class TestEstimateDownlink:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_kernel_estimate_computes_distances_once(self, metric, monkeypatch):
+        # The kernel's distances are its tangents' norms: one log_maps call
+        # per query, one stacked decomposition (the affine-invariant
+        # logarithm of the whitened uplinks; the log-Euclidean logs are the
+        # dictionary's, fitted once), no distances pass.
         rng = np.random.default_rng(24)
         d = make_dictionary(rng, 4)
         q = random_spd(rng, 3)
-        calls = []
+        d.uplink_stack.logs  # fit the dictionary first
+        log_map_calls, stacked = [], []
 
         def counting(*args):
-            calls.append(args)
-            return distances(*args)
+            log_map_calls.append(args)
+            return log_maps(*args)
 
-        monkeypatch.setattr(interp, "distances", counting)
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def recorded(a, *args, _real=real, **kwargs):
+                if np.ndim(a) == 3:
+                    stacked.append(a.shape)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        monkeypatch.setattr(interp, "log_maps", counting)
+        _, w, _ = select_bandwidth(d, q, metric)
+        assert len(log_map_calls) == 1
+        assert stacked == ([(4, 3, 3)] if metric is Metric.AFFINE_INVARIANT else [])
         est = estimate_downlink(d, q, Scheme.kernel(), metric)
-        assert len(calls) == 1
-        _, w, flags = select_bandwidth(d, q, metric)
+        assert len(log_map_calls) == 2
         assert np.array_equal(est.weights.w, w.w)
 
     @given(seeds, st.sampled_from(METRICS))
@@ -677,6 +732,105 @@ class TestEstimateDownlink:
             assert (FLAG_KARCHER_FLOOR in est.flags) == at_floor
             floored.append(at_floor)
         assert any(floored)
+
+
+# ---------------------------------------------------------------------------
+# Paper-scale queries: the kernel's cut and the Karcher line search
+
+
+def paper_scale_case(k: int, trials):
+    """paper_scale.cfg's first K-entry dictionary and the uplink queries of
+    ``trials``."""
+    config = parse_config(CONFIG_DIR / "paper_scale.cfg")
+    geometry = make_geometry(config)
+    d = build_dictionary(config, k, _rng(config.master_seed, _TAG_DICTIONARY, k, 0), geometry)
+    return d, [_build_case(config, geometry, k, t).query_ul for t in trials]
+
+
+class TestPaperScale:
+    EPS = np.finfo(np.float64).eps
+
+    def test_cut_moves_results_by_rounding_only(self, monkeypatch):
+        # select_bandwidth's docstring bounds what the cut weights (each
+        # below 2^-52 of the largest; ``delta`` their sum) can move.
+        d, queries = paper_scale_case(500, range(4))
+        k = len(d)
+        norms = interp._kernel_tangent_norms
+        for q in queries:
+            for metric in METRICS:
+                calls = []
+
+                def recording(rows, dists, log_sigma):
+                    value = norms(rows, dists, log_sigma)
+                    calls.append((rows, dists, log_sigma, value))
+                    return value
+
+                monkeypatch.setattr(interp, "_kernel_tangent_norms", recording)
+                sigma, w, flags = select_bandwidth(d, q, metric)
+                monkeypatch.undo()
+                assert flags == ()
+
+                # the uncut weights at the same bandwidth
+                dists = tangent_norm_distances(metric, q, d)
+                kernel = np.exp(-(dists**2 - dists.min() ** 2) / (2.0 * sigma**2))
+                uncut = kernel / kernel.sum()
+                dropped = w.w == 0.0
+                delta = kernel[dropped].sum()
+                assert kernel[dropped].max(initial=0.0) < 2.0**-52
+                assert delta < dropped.sum() * 2.0**-52
+                # 1-norm: 2 delta, plus a few ulps of rounding per weight
+                assert np.abs(w.w - uncut).sum() <= 2.0 * delta + 8 * self.EPS
+
+                # The golden-section steps read the prefix kept at the
+                # bracket's largest bandwidth; the rows they leave out are
+                # below the cut at every step, and the prefix objective is
+                # the full one to within delta (d_max + J) and the rounding
+                # of a K-term sum, K eps sum_k kappa_k d_k / S.
+                rows, units, _, _ = calls[0]
+                for prefix_rows, prefix_units, x, value in calls[1:]:
+                    m = len(prefix_units)
+                    assert prefix_rows.shape[0] == m
+                    kappa = np.exp(interp._kernel_logits(units, x))
+                    left_out = kappa[m:]
+                    assert left_out.max(initial=0.0) < 2.0**-52
+                    full = norms(rows, units, x)
+                    rounding = k * self.EPS * (kappa @ units) / kappa.sum()
+                    assert abs(full - value) <= left_out.sum() * (units[-1] + value) + rounding
+
+                if metric is not Metric.AFFINE_INVARIANT:
+                    continue
+                # The estimate against the uncut mean.  Its uncut tangent
+                # mean (the gradient the uncut mean zeroes) differs from the
+                # cut one by at most ||w - uncut||_1 max_k ||Log(D_k)||, the
+                # same weighted sum of the same tangents.  The Hessian is at
+                # least the identity, so each mean lies within its residual
+                # of the uncut minimizer: the two lie within the sum of
+                # their residuals and that gap, plus the rounding of
+                # residuals and distances at this conditioning, which
+                # KARCHER_FLOOR_TOL bounds.
+                cut = barycenter(metric, d.downlink_stack, w.w)
+                full = barycenter(metric, d.downlink_stack, uncut)
+                at_cut = spd._KarcherIterate(cut.point.mat, d.downlink_stack.mats, uncut)
+                farthest = np.sqrt(np.sum(at_cut.mu**2, axis=-1)).max()
+                gap = np.abs(w.w - uncut).sum() * farthest
+                assert abs(at_cut.residual - cut.residual) <= gap + k * self.EPS * farthest
+                moved = distance(metric, cut.point, full.point)
+                assert moved <= cut.residual + full.residual + gap + spd.KARCHER_FLOOR_TOL
+
+    def test_stalled_line_search_ends_before_the_cap(self):
+        # paper_scale.cfg K=300, trial 190: its kernel/affine-invariant
+        # weights, perturbed by 1e-15 relative, give Karcher means whose
+        # residual stalls just above KARCHER_FLOOR_TOL, where no step
+        # halves it.  The line search ends once the step can no longer move
+        # the iterate; it used to halve the step until the iteration cap.
+        d, (q,) = paper_scale_case(300, [190])
+        _, w, _ = select_bandwidth(d, q, Metric.AFFINE_INVARIANT)
+        for seed in range(30):
+            noise = np.random.default_rng(seed).standard_normal(len(d))
+            perturbed = w.w * (1.0 + 1e-15 * noise)
+            result = barycenter(Metric.AFFINE_INVARIANT, d.downlink_stack, perturbed / perturbed.sum())
+            assert result.iterations < spd.KARCHER_MAX_ITER
+            assert result.converged == (result.residual < spd.KARCHER_FLOOR_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -733,17 +887,16 @@ class TestFittedDictionary:
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("k", FITTED_SIZES)
     def test_estimates_equal_per_entry_path(self, metric, k, monkeypatch):
-        # Distances (the kernel's, and those the nearest-entry search of
-        # nearest neighbor and mirror takes, its affine-invariant step
-        # included) computed one row at a time, and the mirror and kernel
-        # tangents recomputed entry by entry with log_map and
+        # Distances (those the nearest-entry search of nearest neighbor and
+        # mirror takes, its affine-invariant step included) computed one row
+        # at a time, and the mirror and kernel tangents (whose norms are the
+        # kernel's distances) recomputed entry by entry with
         # whitened_log_map, must give the same weights, flags and estimates,
         # bit for bit.
         rng = np.random.default_rng(50 + k)
         d = make_dictionary(rng, k)
         q = random_spd(rng, 3)
         stacked = [estimate_downlink(d, q, s, metric) for s in SCHEMES]
-        monkeypatch.setattr(interp, "distances", per_entry_distances)
         monkeypatch.setattr(spd, "distances", per_entry_distances)
         monkeypatch.setattr(spd, "_ai_distances", per_entry_ai_distances)
         monkeypatch.setattr(interp, "log_maps", per_entry_log_maps)
