@@ -93,8 +93,10 @@ class ScenarioConfig:
             raise ConfigError("n_queries must be >= 1")
         if not self.rx_power > 0.0:
             raise ConfigError("rx_power must be positive")
-        if self.noise_power < 0.0:
-            raise ConfigError("noise_power must be nonnegative")
+        # The scatterer term has rank <= n_scatterers; only the noise floor
+        # makes every model covariance positive definite.
+        if not self.noise_power > 0.0:
+            raise ConfigError("noise_power must be positive")
         if self.n_dictionary_redraws < 1:
             raise ConfigError("n_dictionary_redraws must be >= 1")
         if not self.schemes and not self.baselines:

@@ -1,10 +1,13 @@
 """Array geometries, scatterer fields, the ring covariance model, and
 channel/sample-covariance statistics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from covcast import harness
 from covcast.channel import (
     ArrayGeometry,
     ArrayKind,
@@ -18,8 +21,11 @@ from covcast.channel import (
     place_ue,
     sample_covariance,
 )
-from covcast.spd import NotPositiveDefiniteError, SPDMatrix
+from covcast.config import parse_config
+from covcast.spd import NotPositiveDefiniteError, SPDMatrix, _sqrtm
 from helpers import frob, random_spd
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestArrayGeometry:
@@ -272,3 +278,57 @@ class TestSampleCovariance:
             scm = sample_covariance(channel_realizations(r, n_draws, rng))
             errs.append(frob(scm.mat - r.mat))
         assert errs[0] > errs[1] > errs[2]
+
+
+def textbook_model_covariance(geometry, field, params):
+    diff = field.scatterers[:, None, :] - geometry.positions[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    phase = np.exp(2j * np.pi / params.wavelength * dist)
+    r = phase.T @ phase.conj()
+    r = (r + r.conj().T) / 2
+    r = params.rx_power / (field.distance_to_array**2 * field.n_scatterers) * r
+    np.fill_diagonal(r, params.rx_power / field.distance_to_array**2 + params.noise_power)
+    return SPDMatrix(r)
+
+
+def textbook_channel_realizations(covariance, n_draws, rng):
+    a = rng.standard_normal((n_draws, covariance.dim))
+    b = rng.standard_normal((n_draws, covariance.dim))
+    return (a + 1j * b) / np.sqrt(2) @ _sqrtm(covariance.mat).T
+
+
+def textbook_sample_covariance(h):
+    r = (h.T @ h.conj()) / h.shape[0]
+    return SPDMatrix((r + r.conj().T) / 2)
+
+
+class TestTextbookSynthesis:
+    """Pair synthesis is bitwise the textbook formulas above, draw for draw."""
+
+    @pytest.mark.parametrize("name", ["desk_ula.cfg", "desk_random.cfg", "paper_scale.cfg"])
+    def test_build_pair_is_bitwise_textbook(self, name, monkeypatch):
+        config = parse_config(CONFIG_DIR / name)
+        geometry = harness.make_geometry(config)
+        rng = np.random.default_rng(7)
+        pairs = [harness.build_pair(config, geometry, rng) for _ in range(3)]
+
+        monkeypatch.setattr(harness, "model_covariance", textbook_model_covariance)
+        monkeypatch.setattr(harness, "channel_realizations", textbook_channel_realizations)
+        monkeypatch.setattr(harness, "sample_covariance", textbook_sample_covariance)
+        textbook_rng = np.random.default_rng(7)
+        textbook = [harness.build_pair(config, geometry, textbook_rng) for _ in range(3)]
+
+        for pair, expected in zip(pairs, textbook):
+            for got, want in zip(pair, expected):
+                assert np.array_equal(got.mat, want.mat)
+        assert rng.bit_generator.state == textbook_rng.bit_generator.state
+
+    def test_radius_gate_on_the_rim(self):
+        ue, radius = np.array([600.0, 35.0]), 30.0
+        theta = np.linspace(0.0, 2.0 * np.pi, 97)
+        rim = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        # round-off may put a rim point a few ulps outside; it is accepted
+        ScattererField(ue, radius, ue + radius * rim, 600.0)
+        for point in ue + radius * (1.0 + 2e-12) * rim:
+            with pytest.raises(ValueError, match="exceeds radius"):
+                ScattererField(ue, radius, point[None, :], 600.0)

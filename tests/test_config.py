@@ -112,6 +112,14 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("schemes =\nbaselines =\n")
 
+    def test_zero_noise_rejected(self):
+        # fewer scatterers than antennas: without a noise floor the model
+        # covariance is singular and the dictionary build would abort
+        with pytest.raises(ConfigError, match="noise_power must be positive"):
+            parse_config_text("n_antennas = 10\nn_scatterers = 3\nnoise_power = 0\n")
+        with pytest.raises(ConfigError, match="noise_power must be positive"):
+            ScenarioConfig(noise_power=-1e-9)
+
     def test_spline_free_config_allows_inverted_frequencies(self):
         cfg = parse_config_text(
             "f_dl = 2.8e9\nf_ul = 1.8e9\nbaselines = no_conversion\n"
