@@ -54,7 +54,7 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Bitwise the textbook ``np.sqrt((diff**2).sum(axis=-1))`` of
     ``diff = a[:, None] - b[None]`` (``x**2`` is ``x * x`` and a two-term sum
     is one addition), without the ``(..., 2)`` temporary and its length-2
-    reduction: about a tenth of its time at 1,000 x 10 points.
+    reduction: about a fifth of its time at 1,000 x 10 points.
     """
     dx = np.subtract.outer(a[:, 0], b[:, 0])
     dy = np.subtract.outer(a[:, 1], b[:, 1])
