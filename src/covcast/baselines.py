@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import toeplitz
 
 from .channel import ArrayKind, channel_realizations, sample_covariance
-from .spd import HermitianTangent, SPDMatrix, _eigh_sym
+from .spd import HermitianTangent, SPDMatrix, _eigh_sym, _spectral
 
 __all__ = [
     "BaselineKind",
@@ -70,9 +70,7 @@ def psd_projection(h: HermitianTangent) -> tuple[SPDMatrix, bool]:
     n = h.dim
     eps = 1e-10 * max(float(np.real(np.trace(h.mat))) / n, 1.0)
     clipped = bool(w[0] < eps)
-    w = np.maximum(w, eps)
-    out = (u * w) @ u.conj().T
-    return SPDMatrix((out + out.conj().T) / 2), clipped
+    return SPDMatrix(_spectral(u, np.maximum(w, eps))), clipped
 
 
 def toeplitz_lags(r_ul: SPDMatrix) -> np.ndarray:

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spd import SPDMatrix, _sqrtm
+from .spd import SPDMatrix, _herm, _sqrtm
 
 __all__ = [
     "ArrayGeometry",
@@ -37,6 +37,8 @@ __all__ = [
 
 # Antennas closer than this are considered coincident (meters).
 MIN_ANTENNA_SEPARATION = 1e-6
+# Draws make_random_square tries before it gives up on a square.
+_SQUARE_DRAWS = 100
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -109,16 +111,21 @@ def make_random_square(n_antennas: int, side: float, rng: np.random.Generator) -
     """Antennas i.i.d. uniform on the square ``[0, side]^2``.
 
     The whole set is redrawn in the (measure-zero) event that two antennas
-    land within 1e-6 m of each other.
+    land within 1e-6 m of each other, at most 100 draws in all; a square
+    too small for that many to succeed raises ``ValueError``.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
     if not side > 0.0:
         raise ValueError("side must be positive")
-    while True:
+    for _ in range(_SQUARE_DRAWS):
         pos = rng.uniform(0.0, side, size=(n_antennas, 2))
         if _min_pairwise_distance(pos) > MIN_ANTENNA_SEPARATION:
             return ArrayGeometry(pos, ArrayKind.RANDOM_SQUARE)
+    raise ValueError(
+        f"{_SQUARE_DRAWS} draws of {n_antennas} antennas on a {side:g} m square "
+        "all put two within 1e-6 m"
+    )
 
 
 def place_ue(
@@ -231,7 +238,7 @@ def model_covariance(
     dist = _distances(field.scatterers, geometry.positions)  # (N_S, N)
     phase = np.exp(2j * np.pi / params.wavelength * dist)
     r = phase.T @ phase.conj()
-    r = (r + r.conj().T) / 2
+    r = _herm(r)
     scale = params.rx_power / (field.distance_to_array**2 * field.n_scatterers)
     r = scale * r
     # Phase differences vanish for i == j, so the diagonal is exactly
@@ -277,5 +284,5 @@ def sample_covariance(realizations: np.ndarray) -> SPDMatrix:
     if h.ndim != 2 or h.shape[0] < 1:
         raise ValueError(f"expected realizations of shape (L, N), got {h.shape}")
     r = (h.T @ h.conj()) / h.shape[0]
-    r = (r + r.conj().T) / 2
+    r = _herm(r)
     return SPDMatrix(r)

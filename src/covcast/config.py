@@ -11,12 +11,13 @@ an entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
 from .baselines import BaselineKind
-from .channel import SPEED_OF_LIGHT, ArrayKind
+from .channel import MIN_ANTENNA_SEPARATION, SPEED_OF_LIGHT, ArrayKind
 from .interp import Scheme, SchemeKind
 from .spd import Metric
 
@@ -73,10 +74,26 @@ class ScenarioConfig:
     n_dictionary_redraws: int = 1
 
     def __post_init__(self) -> None:
+        for name, hint in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if hint in (float, float | None) and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.n_antennas < 1:
             raise ConfigError("n_antennas must be >= 1")
         if not (self.f_dl > 0.0 and self.f_ul > 0.0):
             raise ConfigError("frequencies must be positive")
+        for name in ("ula_spacing", "square_side"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{name} must be positive")
+        # a ULA's antennas are its spacing apart; a random square's are
+        # redrawn until no two lie this close
+        if self.array_kind is ArrayKind.RANDOM_SQUARE:
+            size_name, size = "square_side", self.effective_square_side
+        else:
+            size_name, size = "ula_spacing", self.effective_ula_spacing
+        if self.n_antennas > 1 and not size > MIN_ANTENNA_SEPARATION:
+            raise ConfigError(f"{size_name} must exceed {MIN_ANTENNA_SEPARATION:g} m")
         if BaselineKind.SPLINE in self.baselines and self.f_dl > self.f_ul:
             raise ConfigError("spline baseline requires f_dl <= f_ul")
         if not 0.0 < self.d_min < self.d_max:

@@ -60,6 +60,17 @@ class TestArrayGeometry:
         g = make_random_square(50, 3.0, np.random.default_rng(1))
         assert np.all(g.positions >= 0.0) and np.all(g.positions <= 3.0)
 
+    def test_random_square_too_small_raises(self):
+        # every draw on a 1e-9 m square puts the two antennas within 1e-6 m:
+        # the redraws stop after the docstring's 100 instead of looping
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="100 draws"):
+            make_random_square(2, 1e-9, rng)
+        ref = np.random.default_rng(3)
+        for _ in range(100):
+            ref.uniform(0.0, 1e-9, size=(2, 2))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_random_square_coordinate_mean(self):
         side = 2.0
         rng = np.random.default_rng(2)

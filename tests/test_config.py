@@ -120,6 +120,27 @@ class TestParsing:
         with pytest.raises(ConfigError, match="noise_power must be positive"):
             ScenarioConfig(noise_power=-1e-9)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("noise_power = inf", "noise_power must be finite"),
+            ("rx_power = inf", "rx_power must be finite"),
+            ("f_ul = inf", "f_ul must be finite"),
+            ("d_max = inf", "d_max must be finite"),
+            ("r_max = inf", "r_max must be finite"),
+            ("ula_spacing = nan", "ula_spacing must be finite"),
+            ("ula_spacing = -1", "ula_spacing must be positive"),
+            ("ula_spacing = 1e-9", "ula_spacing must exceed 1e-06 m"),
+            ("array_kind = random_square\nsquare_side = 0", "square_side must be positive"),
+            ("array_kind = random_square\nsquare_side = 1e-9", "square_side must exceed 1e-06 m"),
+        ],
+    )
+    def test_unrunnable_values_rejected(self, text, message):
+        # each of these parsed, and the run then crashed in the dictionary
+        # build or, for the tiny square, redrew its antennas forever
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
     def test_spline_free_config_allows_inverted_frequencies(self):
         cfg = parse_config_text(
             "f_dl = 2.8e9\nf_ul = 1.8e9\nbaselines = no_conversion\n"

@@ -458,22 +458,31 @@ class TestSelectBandwidth:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_uniform_scale_changes_nothing(self, metric):
-        # One dictionary at four uniform scales, down to where a squared
-        # distance or 1 / sigma^2 leaves the float64 normal range: the same
-        # flags and support, the same sigma / s, and no warning.
+        # One dictionary at uniform scales, out to where a squared distance
+        # or 1 / sigma^2 leaves the float64 range at either end: the same
+        # distances and sigma (each / s for Euclidean), the same kernel flags
+        # and support, nearest-neighbour support and mirror weights, and no
+        # warning.
         found = []
-        for s in (1.0, 1e-12, 1e-150, 1e-160):
+        for s in (1.0, 1e-12, 1e-150, 1e-160, 1e-170, 1e170):
             query = SPDMatrix(s * np.eye(2))
             uplinks = [s * 1.5 * np.eye(2), s * 3.0 * np.eye(2), s * np.diag([9.0, 0.5])]
             d = Dictionary([(SPDMatrix(u), SPDMatrix(u)) for u in uplinks])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
+                dist = distances(metric, d.uplink_stack, query)
                 sigma, w, flags = select_bandwidth(d, query, metric)
-            scaled = sigma / s if metric is Metric.EUCLIDEAN else sigma
-            found.append((scaled, tuple(w.support), flags))
-        for scaled, support, flags in found[1:]:
-            assert (support, flags) == found[0][1:]
-            assert scaled == pytest.approx(found[0][0], rel=1e-12, abs=0.0)
+                nn = nearest_neighbor_weights(d, query, metric)
+                mirror = mirror_weights(d, query, metric).w
+            unit = s if metric is Metric.EUCLIDEAN else 1.0
+            found.append((dist / unit, sigma / unit, tuple(w.support), flags,
+                          tuple(nn.support), mirror))
+        first = found[0]
+        for dist, scaled, support, flags, nn, mirror in found[1:]:
+            assert (support, flags, nn) == first[2:5]
+            assert dist == pytest.approx(first[0], rel=1e-12, abs=0.0)
+            assert scaled == pytest.approx(first[1], rel=1e-12, abs=0.0)
+            assert mirror == pytest.approx(first[5], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("a", [-730.1, -374.53, -11.6, 333.9, 683.8])
     @pytest.mark.parametrize("at", [0.01, 0.5, 0.99])
