@@ -122,10 +122,7 @@ def make_random_square(n_antennas: int, side: float, rng: np.random.Generator) -
         pos = rng.uniform(0.0, side, size=(n_antennas, 2))
         if _min_pairwise_distance(pos) > MIN_ANTENNA_SEPARATION:
             return ArrayGeometry(pos, ArrayKind.RANDOM_SQUARE)
-    raise ValueError(
-        f"{_SQUARE_DRAWS} draws of {n_antennas} antennas on a {side:g} m square "
-        "all put two within 1e-6 m"
-    )
+    raise ValueError(f"{_SQUARE_DRAWS} draws on a {side:g} m square put two antennas too close")
 
 
 def place_ue(

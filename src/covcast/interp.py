@@ -240,11 +240,9 @@ def solve_simplex_qp(factor: np.ndarray) -> WeightVector:
     if a.ndim != 2 or a.shape[1] == 0:
         raise ValueError(f"factor must be 2-D with at least one column, got shape {a.shape}")
     k = a.shape[1]
-    # Dividing by the power of two at or above the largest |entry| is exact,
-    # so the column norms neither under- nor overflow and ``a / scale`` keeps
-    # the bits it has at any scale where they do not.  The scale stays
-    # numpy's column norm: spd's stack norm sums in another order, which
-    # moved 281 desk ULA mirror scores by up to 6.2e-8 relative.
+    # Dividing by a power of two is exact, so ``a / scale`` keeps its bits and
+    # the column norms cannot under- or overflow.  (spd's stack norm would sum
+    # in another order, moving 281 desk ULA mirror scores by up to 6.2e-8.)
     a = np.ldexp(a, -np.frexp(np.abs(a).max(initial=0.0))[1])
     scale = float(np.linalg.norm(a, axis=0).max())
     if scale == 0.0:

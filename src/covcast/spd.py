@@ -76,26 +76,6 @@ class NotPositiveDefiniteError(ValueError):
     """Input matrix has an eigenvalue outside the positive-definite cone."""
 
 
-def _as_square_complex(entries) -> np.ndarray:
-    mat = np.asarray(entries, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(np.float64))):
-        raise ValueError("matrix entries must be finite")
-    return mat
-
-
-def _check_hermitian(mat: np.ndarray) -> np.ndarray:
-    """Gate on Hermitian symmetry, then symmetrize to absorb round-off."""
-    defect = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-    if defect > HERMITIAN_ATOL:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |X - X^H| = {defect:.3e} "
-            f"exceeds {HERMITIAN_ATOL:.0e}"
-        )
-    return (mat + mat.conj().T) / 2
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -120,7 +100,19 @@ class _Hermitian:
     __slots__ = ("_mat",)
 
     def __init__(self, entries) -> None:
-        self._mat = _read_only(_check_hermitian(_as_square_complex(entries)))
+        mat = np.asarray(entries, dtype=np.complex128)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat.view(np.float64))):
+            raise ValueError("matrix entries must be finite")
+        defect = np.abs(mat - _ct(mat)).max() if mat.size else 0.0
+        if defect > HERMITIAN_ATOL:
+            raise NotHermitianError(
+                f"matrix is not Hermitian: max |X - X^H| = {defect:.3e} "
+                f"exceeds {HERMITIAN_ATOL:.0e}"
+            )
+        # symmetrized, to absorb the round-off the gate admits
+        self._mat = _read_only(_herm(mat))
 
     __setstate__ = _restore_read_only
 
@@ -241,18 +233,14 @@ def _sqrtm(a: np.ndarray) -> np.ndarray:
     return _spectral(u, np.sqrt(w))
 
 
-def _inverse_spectral(u: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``U diag(1 / values) U^H`` for each eigenbasis, exactly Hermitian."""
-    return _herm((u / values[..., None, :]) @ _ct(u))
-
-
 def _invsqrtm(a: np.ndarray, *fns) -> tuple[np.ndarray, ...]:
     """Inverse principal square root, then ``U diag(f(λ)) U^H`` for each
     eigenvalue function ``f`` in ``fns`` (``np.sqrt`` gives bitwise
     :func:`_sqrtm`, ``np.log`` :func:`_logm`), from a single eigendecomposition."""
     w, u = _eigh_sym(a)
     _check_positive(w, "matrix square root undefined on the cone")
-    return (_inverse_spectral(u, np.sqrt(w)), *(_spectral(u, f(w)) for f in fns))
+    isq = _herm((u / np.sqrt(w)[..., None, :]) @ _ct(u))
+    return (isq, *(_spectral(u, f(w)) for f in fns))
 
 
 def _hermitian_congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -481,15 +469,12 @@ def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
     :func:`log_maps` tangents ``P_k - X`` and ``log P_k - log X``, at any
     scale.  ``x`` costs one eigendecomposition at most.
 
-    Affine-invariant keeps its eigenvalue form: the root sum of squared
-    log-eigenvalues of the whitened ``X^{-1/2} P_k X^{-1/2}``, not the norm
-    of its logarithm rebuilt from the eigenbasis, which adds the basis's
-    rounding.  The score is this distance squared, and the difference shows
-    on the ill-conditioned whitened matrices of the desk ULA config
-    (condition numbers 1.1e11 to 5.4e11): against 60-digit references, three
-    no-conversion scores erred by 1.8e-7, 7.1e-8 and 2.0e-8 relative in the
-    eigenvalue form and by 5.3e-7, 3.5e-7 and 9.8e-8 as tangent norms, which
-    moved 2,317 of that config's 2,400 scores by up to 7.1e-7.
+    Affine-invariant keeps its eigenvalue form, the root sum of squared
+    log-eigenvalues of ``X^{-1/2} P_k X^{-1/2}``: the tangent's norm adds the
+    rounding of its eigenbasis.  The score is this distance squared.  On
+    three desk ULA no-conversion scores (whitened condition numbers 1.1e11
+    to 5.4e11) it erred by 1.8e-7, 7.1e-8 and 2.0e-8 relative to 60-digit
+    references, the tangent norm by 5.3e-7, 3.5e-7 and 9.8e-8.
     """
     _check_same_dim(points, x, "distances")
     if metric is Metric.AFFINE_INVARIANT:

@@ -64,7 +64,7 @@ class TestArrayGeometry:
         # every draw on a 1e-9 m square puts the two antennas within 1e-6 m:
         # the redraws stop after the docstring's 100 instead of looping
         rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match="100 draws"):
+        with pytest.raises(ValueError, match="100 draws on a 1e-09 m square"):
             make_random_square(2, 1e-9, rng)
         ref = np.random.default_rng(3)
         for _ in range(100):
