@@ -82,7 +82,8 @@ class ArrayGeometry:
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must have shape (N, 2) with N >= 1, got {pos.shape}")
         if _min_pairwise_distance(pos) <= MIN_ANTENNA_SEPARATION:
-            raise ValueError("antenna positions must be pairwise distinct (> 1e-6 m apart)")
+            raise ValueError("antenna positions must be pairwise distinct "
+                             f"(> {MIN_ANTENNA_SEPARATION:g} m apart)")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 

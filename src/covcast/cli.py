@@ -7,8 +7,8 @@ Subcommands:
   for a fixed config; pass ``--timings`` to keep measured wall times in the
   runtime_ns column (at the cost of reproducibility of that column).
 * ``covcast bench --config <path>`` times each configured estimator.
-* ``covcast validate --config <path>`` parses the config and echoes the
-  effective settings.
+* ``covcast validate --config <path>`` parses the config, draws its antenna
+  geometry and echoes the effective settings.
 
 ``--seed`` overrides the config's master_seed.  Exit code 0 on success,
 2 on bad arguments (such as ``--workers 0``), config or I/O errors.
@@ -21,7 +21,8 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, format_config, parse_config
-from .harness import run_benchmark, strip_runtimes, summarize, timing_bench, emit_csv
+from .harness import (
+    emit_csv, make_geometry, run_benchmark, strip_runtimes, summarize, timing_bench)
 
 
 def _at_least_one(raw: str) -> int:
@@ -80,6 +81,10 @@ def _load_config(args):
     config = parse_config(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    try:  # a random square can be too small for any draw to keep its antennas apart
+        make_geometry(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config
 
 

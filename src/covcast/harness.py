@@ -164,7 +164,6 @@ class QueryCase:
     trial: int
     query_ul: SPDMatrix
     truth_dl: SPDMatrix
-    pf_seed_key: tuple[int, ...]
 
 
 def _mse_to_truth(truth: SPDMatrix, estimate: SPDMatrix) -> float:
@@ -192,7 +191,9 @@ def _run_baseline(baseline: BaselineKind, config: ScenarioConfig, case: QueryCas
         return no_conversion(case.query_ul, config.n_antennas), ()
     if baseline is BaselineKind.SPLINE:
         return spline_convert(case.query_ul, config.f_ul, config.f_dl, config.array_kind)
-    rng = np.random.default_rng(np.random.SeedSequence(list(case.pf_seed_key)))
+    # The perfect-feedback baseline draws its own fresh realizations from a
+    # derived stream, so estimator ordering cannot perturb anything.
+    rng = _rng(config.master_seed, _TAG_QUERY, case.dict_size, case.trial, 1)
     return perfect_feedback(case.truth_dl, config.n_realizations, rng), ()
 
 
@@ -236,10 +237,7 @@ def _build_case(
 ) -> QueryCase:
     rng = _rng(config.master_seed, _TAG_QUERY, dict_size, trial)
     query_ul, _, truth_dl = build_pair(config, geometry, rng)
-    # The perfect-feedback baseline draws its own fresh realizations; give it
-    # a derived stream so estimator ordering cannot perturb anything.
-    pf_key = (config.master_seed, _TAG_QUERY, dict_size, trial, 1)
-    return QueryCase(dict_size, trial, query_ul, truth_dl, pf_key)
+    return QueryCase(dict_size, trial, query_ul, truth_dl)
 
 
 # The sweep this process serves: (config, geometry, dictionaries).  Pool

@@ -25,6 +25,7 @@ from .spd import (
     Metric,
     SPDMatrix,
     SPDStack,
+    _check_weights,
     _norms,
     barycenter,
     log_maps,
@@ -62,10 +63,11 @@ class Dictionary:
     All uplink matrices share one dimension and all downlink matrices share
     one (possibly different) dimension; the dictionary is never empty.
 
-    The dictionary is its two sides, each an :class:`~covcast.spd.SPDStack`
-    (which rejects mixed dimensions).  Their stacked matrices and
-    logarithms are the dictionary's fitted coordinates: computed on first
-    use, once per dictionary and process, and read by every later query.
+    The dictionary is its two sides, ``uplinks`` and ``downlinks``, each an
+    :class:`~covcast.spd.SPDStack` (a sequence of its points, which rejects
+    mixed dimensions).  Their stacked matrices and logarithms are the
+    dictionary's fitted coordinates: computed on first use, once per
+    dictionary and process, and read by every later query.
     """
 
     __slots__ = ("_uplinks", "_downlinks")
@@ -78,49 +80,29 @@ class Dictionary:
         self._downlinks = SPDStack(dl for _, dl in pairs)
 
     @property
-    def pairs(self) -> tuple[tuple[SPDMatrix, SPDMatrix], ...]:
-        return tuple(zip(self.uplinks, self.downlinks))
-
-    @property
-    def uplinks(self) -> tuple[SPDMatrix, ...]:
-        return self._uplinks.points
-
-    @property
-    def downlinks(self) -> tuple[SPDMatrix, ...]:
-        return self._downlinks.points
-
-    @property
-    def uplink_stack(self) -> SPDStack:
+    def uplinks(self) -> SPDStack:
         return self._uplinks
 
     @property
-    def downlink_stack(self) -> SPDStack:
+    def downlinks(self) -> SPDStack:
         return self._downlinks
-
-    @property
-    def uplink_dim(self) -> int:
-        return self._uplinks.dim
-
-    @property
-    def downlink_dim(self) -> int:
-        return self._downlinks.dim
 
     def __len__(self) -> int:
         return len(self._uplinks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Dictionary(K={len(self)}, uplink_dim={self.uplink_dim}, "
-            f"downlink_dim={self.downlink_dim})"
+            f"Dictionary(K={len(self)}, uplink_dim={self._uplinks.dim}, "
+            f"downlink_dim={self._downlinks.dim})"
         )
 
 
 class WeightVector:
     """Point on the probability simplex, indexed against a dictionary.
 
-    Entries are finite, lie in [0, 1] and sum to 1 within 1e-9; values within
-    1e-12 of the interval bounds are snapped onto them so the invariant holds
-    exactly.
+    Entries are finite, lie in [0, 1] and sum to 1 within
+    :data:`~covcast.spd.SIMPLEX_TOL`; values within 1e-12 of the interval
+    bounds are snapped onto them so the invariant holds exactly.
     """
 
     __slots__ = ("_w",)
@@ -133,10 +115,7 @@ class WeightVector:
             raise ValueError("weights must be finite")
         if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-12):
             raise ValueError("weights must lie in [0, 1]")
-        w = np.clip(w, 0.0, 1.0)
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1 within 1e-9, got {total!r}")
+        w = _check_weights(np.clip(w, 0.0, 1.0), w.size)
         w.setflags(write=False)
         self._w = w
 
@@ -203,7 +182,7 @@ def nearest_neighbor_weights(
     Ties are broken toward the lowest index.
     """
     w = np.zeros(len(dictionary))
-    w[nearest(metric, dictionary.uplink_stack, query, 1)[0]] = 1.0
+    w[nearest(metric, dictionary.uplinks, query, 1)[0]] = 1.0
     return WeightVector(w)
 
 
@@ -274,10 +253,10 @@ def mirror_weights(
     zero.
     """
     k = len(dictionary)
-    k_s = min(dictionary.uplink_dim**2, k)
-    selected = nearest(metric, dictionary.uplink_stack, query, k_s)[0]
+    k_s = min(dictionary.uplinks.dim**2, k)
+    selected = nearest(metric, dictionary.uplinks, query, k_s)[0]
 
-    tangents = log_maps(metric, query, dictionary.uplink_stack, selected)
+    tangents = log_maps(metric, query, dictionary.uplinks, selected)
     w_sel = solve_simplex_qp(tangents.reshape(k_s, -1).view(np.float64).T).w
 
     w = np.zeros(k)
@@ -408,7 +387,7 @@ def select_bandwidth(
     (sigma, weights, flags)
     """
     k = len(dictionary)
-    tangents = log_maps(metric, query, dictionary.uplink_stack, np.arange(k))
+    tangents = log_maps(metric, query, dictionary.uplinks, np.arange(k))
     rows = tangents.reshape(k, -1).view(np.float64)
     d = _norms(tangents)
     order = np.argsort(d, kind="stable")
@@ -500,7 +479,7 @@ def estimate_downlink(
     else:
         _, weights, flags = select_bandwidth(dictionary, query, metric)
 
-    result: BarycenterResult = barycenter(metric, dictionary.downlink_stack, weights.w)
+    result: BarycenterResult = barycenter(metric, dictionary.downlinks, weights.w)
     if not result.converged:
         flags = flags + (FLAG_KARCHER_NONCONVERGED,)
     elif result.residual >= KARCHER_TOL:

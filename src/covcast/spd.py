@@ -67,6 +67,9 @@ _STEP_RESOLUTION = np.finfo(np.float64).eps
 # derivation is in that function's docstring.
 NEAREST_SLACK = 1e-2
 
+# Barycenter and interpolation weights sum to 1 within this.
+SIMPLEX_TOL = 1e-9
+
 
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
@@ -605,8 +608,8 @@ def _check_weights(weights, n_points: int) -> np.ndarray:
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1 within 1e-9, got {total!r}")
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"weights must sum to 1 within {SIMPLEX_TOL:g}, got {total!r}")
     return w
 
 
@@ -724,7 +727,7 @@ def barycenter(
         log-Euclidean mean and the Karcher starting point; any other
         sequence is stacked first.
     weights : array_like
-        Finite, nonnegative, summing to 1 within 1e-9, one per point.
+        Finite, nonnegative, summing to 1 within ``SIMPLEX_TOL``, one per point.
 
     Returns
     -------

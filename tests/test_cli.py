@@ -120,6 +120,23 @@ class TestValidate:
         assert "master_seed = 123" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "bench"])
+def test_undrawable_square_is_a_config_error(command, tmp_path, capsys):
+    # the config's own checks pass, but no draw of ten antennas on a 2e-6 m
+    # square keeps them 1e-6 m apart: every command exits 2 with the reason
+    path = tmp_path / "square.cfg"
+    path.write_text(
+        CONFIG.replace("n_antennas = 3", "n_antennas = 10")
+        + "array_kind = random_square\nsquare_side = 2e-6\n"
+    )
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert "too close" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 class TestBench:
     def test_prints_timing_table(self, config_path, capsys):
         assert main(["bench", "--config", str(config_path), "--calls", "3"]) == 0

@@ -96,7 +96,7 @@ class TestBuildDictionary:
         config = tiny_config()
         a = build_dictionary(config, 4, rng_for(6))
         b = build_dictionary(config, 4, rng_for(6))
-        for (ua, da), (ub, db) in zip(a.pairs, b.pairs):
+        for ua, da, ub, db in zip(a.uplinks, a.downlinks, b.uplinks, b.downlinks):
             assert np.array_equal(ua.mat, ub.mat)
             assert np.array_equal(da.mat, db.mat)
 

@@ -121,15 +121,14 @@ class TestDictionary:
     def test_mixed_uplink_downlink_dims_allowed(self):
         rng = np.random.default_rng(1)
         d = make_dictionary(rng, 2, n_ul=3, n_dl=5)
-        assert d.uplink_dim == 3
-        assert d.downlink_dim == 5
+        assert d.uplinks.dim == 3
+        assert d.downlinks.dim == 5
         assert len(d) == 2
 
     def test_uplinks_and_downlinks_are_stored_once(self):
         rng = np.random.default_rng(2)
         d = make_dictionary(rng, 4)
-        assert d.uplinks == tuple(ul for ul, _ in d.pairs)
-        assert d.downlinks == tuple(dl for _, dl in d.pairs)
+        assert len(d.uplinks) == len(d.downlinks) == len(d) == 4
         assert d.uplinks is d.uplinks
         assert d.downlinks is d.downlinks
 
@@ -436,7 +435,7 @@ class TestSelectBandwidth:
             SPDMatrix(1e150 * np.eye(2)),
         ]
         d = Dictionary([(ul, ul) for ul in uplinks])
-        dist = distances(Metric.EUCLIDEAN, d.uplink_stack, query)
+        dist = distances(Metric.EUCLIDEAN, d.uplinks, query)
         assert dist.max() / dist.min() > 1e300
         real = interp._kernel_tangent_norms
         refinements = []
@@ -470,7 +469,7 @@ class TestSelectBandwidth:
             d = Dictionary([(SPDMatrix(u), SPDMatrix(u)) for u in uplinks])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                dist = distances(metric, d.uplink_stack, query)
+                dist = distances(metric, d.uplinks, query)
                 sigma, w, flags = select_bandwidth(d, query, metric)
                 nn = nearest_neighbor_weights(d, query, metric)
                 mirror = mirror_weights(d, query, metric).w
@@ -573,7 +572,7 @@ class TestSelectBandwidth:
     def test_permuted_dictionary_gives_the_same_bits(self, desk_ula_case, metric):
         d, q = desk_ula_case
         perm = np.random.default_rng(26).permutation(len(d))
-        shuffled = Dictionary([d.pairs[i] for i in perm])
+        shuffled = Dictionary((d.uplinks[i], d.downlinks[i]) for i in perm)
         sigma, w, flags = select_bandwidth(d, q, metric)
         sigma_p, w_p, flags_p = select_bandwidth(shuffled, q, metric)
         assert sigma_p.hex() == sigma.hex()
@@ -670,7 +669,7 @@ class TestEstimateDownlink:
         rng = np.random.default_rng(24)
         d = make_dictionary(rng, 4)
         q = random_spd(rng, 3)
-        d.uplink_stack.logs  # fit the dictionary first
+        d.uplinks.logs  # fit the dictionary first
         log_map_calls, stacked = [], []
 
         def counting(*args):
@@ -735,7 +734,7 @@ class TestEstimateDownlink:
         for trial in range(4):
             q = _build_case(config, geometry, 50, trial).query_ul
             est = estimate_downlink(d, q, Scheme.mirror(), Metric.AFFINE_INVARIANT)
-            result = barycenter(Metric.AFFINE_INVARIANT, d.downlink_stack, est.weights.w)
+            result = barycenter(Metric.AFFINE_INVARIANT, d.downlinks, est.weights.w)
             assert result.converged and FLAG_KARCHER_NONCONVERGED not in est.flags
             at_floor = result.residual >= KARCHER_TOL
             assert (FLAG_KARCHER_FLOOR in est.flags) == at_floor
@@ -817,9 +816,9 @@ class TestPaperScale:
                 # their residuals and that gap, plus the rounding of
                 # residuals and distances at this conditioning, which
                 # KARCHER_FLOOR_TOL bounds.
-                cut = barycenter(metric, d.downlink_stack, w.w)
-                full = barycenter(metric, d.downlink_stack, uncut)
-                at_cut = spd._KarcherIterate(cut.point.mat, d.downlink_stack.mats, uncut)
+                cut = barycenter(metric, d.downlinks, w.w)
+                full = barycenter(metric, d.downlinks, uncut)
+                at_cut = spd._KarcherIterate(cut.point.mat, d.downlinks.mats, uncut)
                 farthest = np.sqrt(np.sum(at_cut.mu**2, axis=-1)).max()
                 gap = np.abs(w.w - uncut).sum() * farthest
                 assert abs(at_cut.residual - cut.residual) <= gap + k * self.EPS * farthest
@@ -837,7 +836,7 @@ class TestPaperScale:
         for seed in range(30):
             noise = np.random.default_rng(seed).standard_normal(len(d))
             perturbed = w.w * (1.0 + 1e-15 * noise)
-            result = barycenter(Metric.AFFINE_INVARIANT, d.downlink_stack, perturbed / perturbed.sum())
+            result = barycenter(Metric.AFFINE_INVARIANT, d.downlinks, perturbed / perturbed.sum())
             assert result.iterations < spd.KARCHER_MAX_ITER
             assert result.converged == (result.residual < spd.KARCHER_FLOOR_TOL)
 
@@ -887,9 +886,9 @@ class TestFittedDictionary:
         d = make_dictionary(rng, k)
         q = random_spd(rng, 3)
         expected = np.array([distance(metric, q, ul) for ul in d.uplinks])
-        assert np.array_equal(distances(metric, d.uplink_stack, q), expected)
-        for n in sorted({1, min(d.uplink_dim**2, k), k}):
-            idx, near = nearest(metric, d.uplink_stack, q, n)
+        assert np.array_equal(distances(metric, d.uplinks, q), expected)
+        for n in sorted({1, min(d.uplinks.dim**2, k), k}):
+            idx, near = nearest(metric, d.uplinks, q, n)
             assert np.array_equal(idx, np.argsort(expected, kind="stable")[:n])
             assert np.array_equal(near, expected[idx])
 
@@ -920,7 +919,7 @@ class TestFittedDictionary:
         d = make_dictionary(rng, k)
         w = rng.uniform(0.1, 1.0, size=k)  # full support
         w /= w.sum()
-        fitted = barycenter(metric, d.downlink_stack, w)
+        fitted = barycenter(metric, d.downlinks, w)
         listed = barycenter(metric, list(d.downlinks), w)
         assert np.array_equal(fitted.point.mat, listed.point.mat)
         assert (fitted.converged, fitted.iterations, fitted.residual) == (

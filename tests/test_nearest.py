@@ -166,7 +166,7 @@ def config_cases():
 def test_committed_config_queries(config_cases, name, metric):
     dictionary, queries = config_cases[name]
     for query in queries:
-        assert mismatches(metric, dictionary.uplink_stack, query) == []
+        assert mismatches(metric, dictionary.uplinks, query) == []
 
 
 @pytest.mark.parametrize("scheme, limit", [
@@ -179,7 +179,7 @@ def test_affine_invariant_search_is_pruned(config_cases, monkeypatch, scheme, li
     # against the K=500 dictionary: the search takes exact distances for a
     # few candidates, never for the whole dictionary.
     dictionary, queries = config_cases["paper_scale.cfg"]
-    dictionary.uplink_stack.logs  # fitted once per dictionary, by eigh
+    dictionary.uplinks.logs  # fitted once per dictionary, by eigh
     counted = []
     real = np.linalg.eigvalsh
 
