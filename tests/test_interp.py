@@ -49,7 +49,7 @@ from covcast.spd import (
     nearest,
     whitened_log_map,
 )
-from helpers import frob, random_invertible, random_spd
+from helpers import frob, random_hermitian, random_invertible, random_spd
 
 METRICS = list(Metric)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -394,6 +394,47 @@ class TestKernelWeights:
         assert w.w[2] == pytest.approx(1.0 / kernel.sum(), rel=1e-12)
 
 
+class TestTangentRows:
+    """The real rows the bandwidth search holds its tangents in."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_half_vectorization(self, n):
+        rng = np.random.default_rng(40 + n)
+        k = 7
+        stack = np.stack([random_hermitian(rng, n).mat for _ in range(k)])
+        rows = interp._tangent_rows(stack, np.arange(k), 1.0)
+        assert rows.shape == (k, n * n) and rows.dtype == np.float64
+        # the 2-norm of a row is the tangent's Frobenius norm
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), spd._norms(stack),
+                                   rtol=1e-15, atol=0.0)
+        # a weighted sum of rows is the row of the weighted tangent sum
+        w = rng.uniform(size=k)
+        summed = np.tensordot(w, stack, axes=1)[None]
+        np.testing.assert_allclose(w @ rows, interp._tangent_rows(summed, np.arange(1), 1.0)[0],
+                                   rtol=1e-13, atol=1e-13)
+        # the rows of a permuted stack are the permuted rows, bit for bit,
+        # and gathering in that order gives the same rows
+        perm = rng.permutation(k)
+        permuted = interp._tangent_rows(stack[perm], np.arange(k), 1.0)
+        assert np.array_equal(permuted, rows[perm])
+        assert np.array_equal(interp._tangent_rows(stack, perm, 1.0), rows[perm])
+        # a power-of-two unit scales them exactly
+        assert np.array_equal(interp._tangent_rows(stack, np.arange(k), 2.0**-40), rows * 2.0**40)
+
+
+def refinement_bound(width: float, t: float) -> int:
+    """The most evaluations Brent's refinement makes on a bracket ``width``
+    wide at tolerance ``t`` (see :func:`select_bandwidth`)."""
+    c = (3.0 - np.sqrt(5.0)) / 2.0
+    potential = (2.0 - c) * width  # W + F, down to 4 t at the last step
+    evals = 1
+    while potential > 4.0 * t:
+        far = min((1.0 - c) * width, potential / 2.0)
+        evals += 2 + 2 * max(0, int(np.ceil(np.log2(c * far / t))))
+        potential *= 5.0 / 6.0
+    return evals
+
+
 class TestSelectBandwidth:
     def test_midway_query_is_flat(self):
         rng = np.random.default_rng(17)
@@ -422,9 +463,14 @@ class TestSelectBandwidth:
 
     # Every distance is zero or in [2^-1074, 2^1024), so the refined bracket
     # is narrower than two of the 63 scan intervals of ln(100 d_max / d_min)
-    # < ln 100 + 2098 ln 2, and golden section stops once it is 1e-14 wide.
+    # < ln 100 + 2098 ln 2.  Brent's method runs at most 115 golden-section
+    # steps (each shrinks W + F by 5/6 or more, from (2 - c) W to 4 t), each
+    # followed by at most 2 ceil(log2(c F / t)) + 1 parabolic steps, with
+    # F <= (W + F) / 2 and F no more than its start, (1 - c) W.
     WIDEST_BRACKET = 2 * (np.log(100.0) + 2098 * np.log(2.0)) / 63
-    MAX_EVALS = 2 + int(np.ceil(np.log(WIDEST_BRACKET / 1e-14) / np.log((1 + np.sqrt(5)) / 2)))
+    SQRT_EPS = np.sqrt(np.finfo(np.float64).eps)
+
+    MAX_EVALS = refinement_bound(WIDEST_BRACKET, SQRT_EPS)
 
     def test_extreme_distance_ratio_ends_within_the_bound(self, monkeypatch):
         scale = 1e-150
@@ -488,19 +534,32 @@ class TestSelectBandwidth:
     def test_widest_bracket_ends_within_the_bound(self, a, at):
         # the widest bracket at both ends of the log-bandwidth range the
         # search covers in its units (ln(2^-1050 / 10) to ln(10 2^1050)) and
-        # inside it, with the minimum near either end or in the middle
-        assert self.MAX_EVALS == 77  # as select_bandwidth's docstring states
+        # inside it, with the minimum near either end or in the middle: a
+        # smooth minimum, a flat one, a kink, and no minimum at all
+        assert self.MAX_EVALS == 3763  # as select_bandwidth's docstring states
         b = a + self.WIDEST_BRACKET
         target = a + at * (b - a)
-        evals = []
+        t = self.SQRT_EPS * max(1.0, a, -b)
+        objectives = {
+            "quadratic": lambda x: (x - target) ** 2,
+            "quartic": lambda x: (x - target) ** 4,
+            "kink": lambda x: abs(x - target),
+            "constant": lambda x: 1.0,
+        }
+        for name, objective in objectives.items():
+            evals = []
 
-        def fn(x):
-            evals.append(x)
-            return (x - target) ** 2
+            def fn(x):
+                evals.append(x)
+                return objective(x)
 
-        x = interp._golden_section(fn, a, b)
-        assert len(evals) <= self.MAX_EVALS
-        assert abs(x - target) <= 1e-13 * max(1.0, abs(a), abs(b))
+            x = interp._brent_minimize(fn, a, b)
+            assert len(evals) <= self.MAX_EVALS, name
+            # strictly inside, so the prefix the refinement reads is kept
+            assert all(a < e < b for e in evals), name
+            if name != "constant":
+                # the bracket ends within 2 t of x and still holds the minimum
+                assert abs(x - target) <= 2.0 * t, name
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_beats_log_grid(self, metric):
@@ -545,7 +604,7 @@ class TestSelectBandwidth:
         assert flags == ()
         rows, units, xs, scan = calls[0]
         assert xs.shape == scan.shape == (64,)
-        assert 3 <= len(calls) <= 1 + 136  # the scan, then one row per golden step
+        assert 3 <= len(calls) <= 1 + self.MAX_EVALS  # the scan, then one row per step
         assert all(np.ndim(x) == 0 for _, _, x, _ in calls[1:])
 
         # one matrix-vector product per bandwidth
@@ -789,7 +848,7 @@ class TestPaperScale:
                 # 1-norm: 2 delta, plus a few ulps of rounding per weight
                 assert np.abs(w.w - uncut).sum() <= 2.0 * delta + 8 * self.EPS
 
-                # The golden-section steps read the prefix kept at the
+                # The refinement steps read the prefix kept at the
                 # bracket's largest bandwidth; the rows they leave out are
                 # below the cut at every step, and the prefix objective is
                 # the full one to within delta (d_max + J) and the rounding
