@@ -481,18 +481,14 @@ def _search_bandwidth(rows: np.ndarray, d: np.ndarray) -> tuple[float, tuple[str
 
 
 def _brent_minimize(fn, a: float, b: float) -> float:
-    """Brent's ``localmin`` on ``[a, b]``; returns the best abscissa found.
+    """Brent's ``localmin`` on ``[a, b]`` (Brent 1973, ch. 5); returns the
+    best abscissa found.
 
-    Golden section with safeguarded parabolic interpolation (R. P. Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 5), with
-    the tolerance ``t = sqrt(eps) max(1, a, -b)`` held fixed: it stops once
-    the best point ``x`` lies within ``2 t`` of both ends of the shrinking
-    bracket, and evaluates ``fn`` once at the start and once per step,
-    always strictly inside the bracket and at least ``t`` from ``x``.  A
-    parabolic step through the three best points is taken only if it lands
-    inside the bracket and is shorter than half the step two before it;
-    otherwise the step is golden section into the larger side.  See
-    :func:`select_bandwidth` for the bound on the number of steps.
+    Golden section with safeguarded parabolic interpolation, at the fixed
+    tolerance ``t = sqrt(eps) max(1, a, -b)``: it stops once the best point
+    lies within ``2 t`` of both ends of the shrinking bracket, and evaluates
+    ``fn`` strictly inside the bracket, at least ``t`` from the best point.
+    :func:`select_bandwidth` bounds the number of evaluations.
     """
     c = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = float(a), float(b)

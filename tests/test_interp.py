@@ -424,9 +424,13 @@ class TestTangentRows:
 
 def refinement_bound(width: float, t: float) -> int:
     """The most evaluations Brent's refinement makes on a bracket ``width``
-    wide at tolerance ``t`` (see :func:`select_bandwidth`)."""
+    wide at tolerance ``t``, as :func:`select_bandwidth` derives it: the
+    first evaluation, then per golden-section step (each shrinks ``W + F``
+    by 5/6 or more, and the last starts above ``4 t``) one step and at most
+    ``2 ceil(log2(c F / t)) + 1`` parabolic ones, with
+    ``F <= min((1 - c) width, (W + F) / 2)``."""
     c = (3.0 - np.sqrt(5.0)) / 2.0
-    potential = (2.0 - c) * width  # W + F, down to 4 t at the last step
+    potential = (2.0 - c) * width
     evals = 1
     while potential > 4.0 * t:
         far = min((1.0 - c) * width, potential / 2.0)
@@ -463,13 +467,9 @@ class TestSelectBandwidth:
 
     # Every distance is zero or in [2^-1074, 2^1024), so the refined bracket
     # is narrower than two of the 63 scan intervals of ln(100 d_max / d_min)
-    # < ln 100 + 2098 ln 2.  Brent's method runs at most 115 golden-section
-    # steps (each shrinks W + F by 5/6 or more, from (2 - c) W to 4 t), each
-    # followed by at most 2 ceil(log2(c F / t)) + 1 parabolic steps, with
-    # F <= (W + F) / 2 and F no more than its start, (1 - c) W.
+    # < ln 100 + 2098 ln 2; the tolerance is at least sqrt(eps).
     WIDEST_BRACKET = 2 * (np.log(100.0) + 2098 * np.log(2.0)) / 63
     SQRT_EPS = np.sqrt(np.finfo(np.float64).eps)
-
     MAX_EVALS = refinement_bound(WIDEST_BRACKET, SQRT_EPS)
 
     def test_extreme_distance_ratio_ends_within_the_bound(self, monkeypatch):
