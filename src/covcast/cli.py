@@ -5,7 +5,9 @@ Subcommands:
 * ``covcast run --config <path> --out <csv>`` runs the benchmark sweep and
   writes one CSV row per (estimator, query).  Output is byte-reproducible
   for a fixed config; pass ``--timings`` to keep measured wall times in the
-  runtime_ns column (at the cost of reproducibility of that column).
+  runtime_ns column (at the cost of reproducibility of that column).  It
+  prints each cell's mean mse and, for several dictionary sizes, each
+  estimator's paired mse difference between the largest and smallest.
 * ``covcast bench --config <path>`` times each configured estimator.
 * ``covcast validate --config <path>`` parses the config, draws its antenna
   geometry and echoes the effective settings.
@@ -18,7 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 from dataclasses import replace
+from math import sqrt
+from statistics import fmean, stdev
 
 from .config import ConfigError, format_config, parse_config
 from .harness import (
@@ -102,7 +107,34 @@ def _cmd_run(args) -> int:
             print(f"  K={k:<5d} {label:<35s} all {trials} trials failed")
         else:
             print(f"  K={k:<5d} {label:<35s} mean mse = {cell.mean_mse:.6g}  (n={cell.count})")
+    if len(config.dict_sizes) > 1:
+        for line in _paired_lines(records, min(config.dict_sizes), max(config.dict_sizes)):
+            print(line)
     return 0
+
+
+def _paired_lines(records, small: int, large: int):
+    """Per estimator: the mean over trials of mse at K=``large`` minus mse
+    at K=``small``, its standard error, and the trials where ``large`` reads
+    lower.  Both sizes answer the same queries from nested dictionaries, so
+    each difference is the effect of the added pairs alone."""
+    mse = {(r.estimator, r.metric, r.dict_size, r.trial): r.mse for r in records}
+    diffs = defaultdict(list)
+    for (estimator, metric, k, trial), value in sorted(mse.items()):
+        base = mse.get((estimator, metric, small, trial))
+        if k == large and value is not None and base is not None:
+            diffs[estimator, metric].append(value - base)
+    for estimator, metric in sorted({(r.estimator, r.metric) for r in records}):
+        label = f"{estimator}/{metric}" if metric else estimator
+        d = diffs[estimator, metric]
+        if not d:
+            summary = "no trial answered at both sizes"
+        else:
+            se = stdev(d) / sqrt(len(d)) if len(d) > 1 else float("nan")
+            wins = sum(x < 0 for x in d)
+            summary = (f"paired mse diff = {fmean(d):+.6g} (SE {se:.3g}), "
+                       f"lower at K={large} in {wins}/{len(d)}")
+        yield f"  K={large}-K={small} {label:<35s} {summary}"
 
 
 def _cmd_bench(args) -> int:

@@ -6,9 +6,14 @@ estimates by squared affine-invariant distance to the noiseless model
 downlink covariance, and emits the results as CSV.
 
 Determinism: every random draw comes from a generator derived from
-``(master_seed, stream tag, K, index)`` seed material, so a config produces
-identical records regardless of execution order or worker count; CSV rows
-are additionally sort-normalized.
+``(master_seed, stream tag, K_max, index)`` seed material, where ``K_max``
+is the config's largest dictionary size.  The sizes share their random
+numbers: each redraw draws one stream of pairs, and its K-dictionary is the
+stream's first K pairs.  Trial t's query, and its perfect-feedback draws,
+are the same at every K.  So the sweep compares the sizes on the same
+dictionaries and queries, and a config produces identical records
+regardless of execution order or worker count; CSV rows are additionally
+sort-normalized.
 """
 
 from __future__ import annotations
@@ -96,6 +101,17 @@ def _rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, *key]))
 
 
+def _dictionary_rng(config: ScenarioConfig, redraw: int) -> np.random.Generator:
+    """Redraw ``redraw``'s pair stream; every K-dictionary is a prefix of it."""
+    return _rng(config.master_seed, _TAG_DICTIONARY, max(config.dict_sizes), redraw)
+
+
+def _query_rng(config: ScenarioConfig, trial: int, *key: int) -> np.random.Generator:
+    """Trial ``trial``'s query stream (``key`` names a sub-stream), shared by
+    every K."""
+    return _rng(config.master_seed, _TAG_QUERY, max(config.dict_sizes), trial, *key)
+
+
 def make_geometry(config: ScenarioConfig) -> ArrayGeometry:
     """Scenario-level antenna placement (drawn once per master seed)."""
     if config.array_kind is ArrayKind.ULA:
@@ -143,17 +159,24 @@ def build_dictionary(
     dict_size: int,
     rng: np.random.Generator,
     geometry: ArrayGeometry | None = None,
+    prefix: Dictionary | None = None,
 ) -> Dictionary:
-    """Dictionary of ``dict_size`` independently drawn covariance pairs."""
-    if dict_size < 1:
-        raise ValueError("dictionary size must be >= 1")
+    """Dictionary of ``dict_size`` independently drawn covariance pairs.
+
+    With a ``prefix``, the first pairs are the prefix's and only the
+    ``dict_size - len(prefix)`` pairs after them are drawn from ``rng``;
+    the result extends the prefix (:class:`~covcast.interp.Dictionary`).
+    """
+    start = 0 if prefix is None else len(prefix)
+    if dict_size <= start:
+        raise ValueError(f"dictionary size must be > {start}, got {dict_size}")
     if geometry is None:
         geometry = make_geometry(config)
     pairs = []
-    for _ in range(dict_size):
+    for _ in range(dict_size - start):
         sample_ul, sample_dl, _ = build_pair(config, geometry, rng)
         pairs.append((sample_ul, sample_dl))
-    return Dictionary(pairs)
+    return Dictionary(pairs, prefix)
 
 
 @dataclass(frozen=True)
@@ -193,7 +216,7 @@ def _run_baseline(baseline: BaselineKind, config: ScenarioConfig, case: QueryCas
         return spline_convert(case.query_ul, config.f_ul, config.f_dl, config.array_kind)
     # The perfect-feedback baseline draws its own fresh realizations from a
     # derived stream, so estimator ordering cannot perturb anything.
-    rng = _rng(config.master_seed, _TAG_QUERY, case.dict_size, case.trial, 1)
+    rng = _query_rng(config, case.trial, 1)
     return perfect_feedback(case.truth_dl, config.n_realizations, rng), ()
 
 
@@ -235,8 +258,7 @@ def _run_estimators(
 def _build_case(
     config: ScenarioConfig, geometry: ArrayGeometry, dict_size: int, trial: int
 ) -> QueryCase:
-    rng = _rng(config.master_seed, _TAG_QUERY, dict_size, trial)
-    query_ul, _, truth_dl = build_pair(config, geometry, rng)
+    query_ul, _, truth_dl = build_pair(config, geometry, _query_rng(config, trial))
     return QueryCase(dict_size, trial, query_ul, truth_dl)
 
 
@@ -263,21 +285,33 @@ def _run_trial(task: tuple[int, int], sweep: tuple | None = None) -> list[Result
 def run_benchmark(config: ScenarioConfig, n_workers: int = 1) -> list[ResultRecord]:
     """Run the full Monte-Carlo sweep described by ``config``.
 
-    For each dictionary size K: build ``n_dictionary_redraws`` dictionaries
-    and evaluate ``n_queries`` fresh queries against each, one record per
-    configured estimator per query.  Estimator exceptions are caught and
-    recorded as failed records; they never abort the sweep.  Output is
-    deterministic for a fixed config, independent of ``n_workers``.
+    For each dictionary size K: take ``n_dictionary_redraws`` dictionaries
+    and evaluate ``n_queries`` queries per redraw against each, one record
+    per configured estimator per query.  Redraw r's K-dictionary is the
+    first K pairs of that redraw's stream, and trial t's query is the same
+    at every K (see the module docstring).  The sizes are built in
+    ascending order, each extending the next smaller one, so every pair is
+    drawn once per redraw.  Estimator exceptions are caught and recorded as
+    failed records; they never abort the sweep.  Output is deterministic for
+    a fixed config, independent of ``n_workers``.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     geometry = make_geometry(config)
+    redraws = range(config.n_dictionary_redraws)
+    rngs = [_dictionary_rng(config, redraw) for redraw in redraws]
+    largest: list[Dictionary | None] = [None for _ in redraws]  # built so far
+    built: dict[tuple[int, int], Dictionary] = {}
+    for dict_size in sorted(config.dict_sizes):
+        for redraw in redraws:
+            largest[redraw] = built[dict_size, redraw] = build_dictionary(
+                config, dict_size, rngs[redraw], geometry, prefix=largest[redraw]
+            )
     dictionaries = []
     tasks = []
     for dict_size in config.dict_sizes:
-        for redraw in range(config.n_dictionary_redraws):
-            dict_rng = _rng(config.master_seed, _TAG_DICTIONARY, dict_size, redraw)
-            dictionaries.append(build_dictionary(config, dict_size, dict_rng, geometry))
+        for redraw in redraws:
+            dictionaries.append(built[dict_size, redraw])
             for query in range(config.n_queries):
                 tasks.append((len(dictionaries) - 1, redraw * config.n_queries + query))
     sweep = (config, geometry, tuple(dictionaries))
@@ -418,16 +452,15 @@ def timing_bench(
 ) -> list[TimingStat]:
     """Median and mean per-call wall time of each configured estimator.
 
-    Uses the first configured dictionary size and a single fixed query; each
-    estimator is invoked ``n_warmup`` untimed plus ``n_calls`` timed times.
+    Uses the first configured dictionary size, as :func:`run_benchmark`
+    draws it for redraw 0, and the query of trial 0; each estimator is
+    invoked ``n_warmup`` untimed plus ``n_calls`` timed times.
     """
     if n_calls < 1:
         raise ValueError("n_calls must be >= 1")
     dict_size = config.dict_sizes[0]
     geometry = make_geometry(config)
-    dictionary = build_dictionary(
-        config, dict_size, _rng(config.master_seed, _TAG_DICTIONARY, dict_size, 0), geometry
-    )
+    dictionary = build_dictionary(config, dict_size, _dictionary_rng(config, 0), geometry)
     case = _build_case(config, geometry, dict_size, 0)
 
     stats = []

@@ -69,16 +69,25 @@ class Dictionary:
     mixed dimensions).  Their stacked matrices and logarithms are the
     dictionary's fitted coordinates: computed on first use, once per
     dictionary and process, and read by every later query.
+
+    A dictionary may extend a ``prefix`` dictionary: its pairs are the
+    prefix's, then ``pairs``, and each side extends the prefix's stack, so
+    the rows fitted for either dictionary serve both.
     """
 
     __slots__ = ("_uplinks", "_downlinks")
 
-    def __init__(self, pairs: Iterable[tuple[SPDMatrix, SPDMatrix]]) -> None:
+    def __init__(
+        self,
+        pairs: Iterable[tuple[SPDMatrix, SPDMatrix]],
+        prefix: Dictionary | None = None,
+    ) -> None:
         pairs = tuple(pairs)
         if not pairs:
             raise ValueError("dictionary must contain at least one pair")
-        self._uplinks = SPDStack(ul for ul, _ in pairs)
-        self._downlinks = SPDStack(dl for _, dl in pairs)
+        ul, dl = (None, None) if prefix is None else (prefix.uplinks, prefix.downlinks)
+        self._uplinks = SPDStack((u for u, _ in pairs), ul)
+        self._downlinks = SPDStack((d for _, d in pairs), dl)
 
     @property
     def uplinks(self) -> SPDStack:

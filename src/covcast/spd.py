@@ -402,6 +402,13 @@ class SPDStack(Sequence):
     :func:`distances`, :func:`log_maps` and :func:`barycenter` read the
     arrays.
 
+    A stack may extend a ``prefix`` stack: its points are the prefix's,
+    then ``points``.  Its arrays are the prefix's arrays, fitted on first
+    use of either stack, followed by the rows of its own points.  Each row
+    is computed on its own point, so the arrays are bitwise those of a
+    fresh stack of the same points, whichever stack is fitted first.  A
+    pickled stack holds its arrays and points but not its prefix.
+
     Raises
     ------
     ValueError
@@ -409,12 +416,14 @@ class SPDStack(Sequence):
         the first offending entry).
     """
 
-    __slots__ = ("_points", "_mats", "_logs")
+    __slots__ = ("_points", "_prefix", "_mats", "_logs")
 
-    def __init__(self, points: Iterable[SPDMatrix]) -> None:
+    def __init__(self, points: Iterable[SPDMatrix], prefix: SPDStack | None = None) -> None:
         points = tuple(points)
         if not points:
             raise ValueError("a stack requires at least one point")
+        if prefix is not None:
+            points = prefix.points + points
         dim = points[0].dim
         for i, p in enumerate(points):
             if p.dim != dim:
@@ -422,8 +431,14 @@ class SPDStack(Sequence):
                     f"dimension mismatch in stack at entry {i}: {p.dim} vs {dim}"
                 )
         self._points = points
+        self._prefix = prefix
         self._mats: np.ndarray | None = None
         self._logs: np.ndarray | None = None
+
+    def __getstate__(self):
+        return None, {
+            "_points": self._points, "_prefix": None, "_mats": self._mats, "_logs": self._logs
+        }
 
     __setstate__ = _restore_read_only
 
@@ -432,6 +447,7 @@ class SPDStack(Sequence):
         """One-point stack whose matrices view the point's own array."""
         stack = cls.__new__(cls)
         stack._points = (point,)
+        stack._prefix = None
         stack._mats = point.mat[None]
         stack._logs = None
         return stack
@@ -454,15 +470,25 @@ class SPDStack(Sequence):
     def mats(self) -> np.ndarray:
         """The points ``P_k`` themselves, shape (k, n, n), read-only."""
         if self._mats is None:
-            self._mats = _read_only(np.stack([p.mat for p in self._points]))
+            self._mats = self._after_prefix(
+                "mats", lambda start: np.stack([p.mat for p in self._points[start:]])
+            )
         return self._mats
 
     @property
     def logs(self) -> np.ndarray:
         """``log P_k`` for every point, shape (k, n, n), read-only."""
         if self._logs is None:
-            self._logs = _read_only(_logm(self.mats))
+            self._logs = self._after_prefix("logs", lambda start: _logm(self.mats[start:]))
         return self._logs
+
+    def _after_prefix(self, name: str, rows) -> np.ndarray:
+        """The prefix's array ``name``, then ``rows(start)`` for the points
+        from ``start``, the prefix's length, on."""
+        if self._prefix is None:
+            return _read_only(rows(0))
+        head = getattr(self._prefix, name)
+        return _read_only(np.concatenate([head, rows(len(head))]))
 
 
 def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:

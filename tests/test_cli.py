@@ -1,11 +1,13 @@
 """covcast command-line interface."""
 
 import importlib.metadata
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from covcast.cli import main
@@ -95,6 +97,45 @@ class TestRun:
         printed = capsys.readouterr().out
         assert "nearest_neighbor/euclidean" in printed
         assert "all 6 trials failed" in printed
+
+    def test_several_sizes_print_paired_differences(self, tmp_path, capsys):
+        # One line per estimator: mean and standard error of the per-trial
+        # mse difference between the largest and smallest K, and the trials
+        # where the largest reads lower.
+        path = tmp_path / "sizes.cfg"
+        path.write_text(
+            CONFIG.replace("dict_sizes = 3", "dict_sizes = 4, 2")
+            .replace("n_queries = 2", "n_queries = 5")
+            .replace("baselines = no_conversion", "baselines = no_conversion, perfect_feedback")
+        )
+        out = tmp_path / "results.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        lines = [line for line in printed.splitlines() if "paired mse diff" in line]
+        mse = {(r.estimator, r.metric, r.dict_size, r.trial): r.mse for r in read_csv(out)}
+        labels = ["nearest_neighbor/euclidean", "no_conversion", "perfect_feedback"]
+        assert len(lines) == len(labels)
+        for label, line in zip(sorted(labels), lines):
+            estimator, _, metric = label.partition("/")
+            d = [mse[estimator, metric, 4, t] - mse[estimator, metric, 2, t] for t in range(5)]
+            match = re.fullmatch(
+                rf"  K=4-K=2 +{label} +paired mse diff = (\S+) \(SE (\S+)\), "
+                r"lower at K=4 in (\d+)/5",
+                line,
+            )
+            assert match, line
+            assert float(match[1]) == pytest.approx(np.mean(d), rel=1e-5, abs=1e-12)
+            assert float(match[2]) == pytest.approx(
+                np.std(d, ddof=1) / np.sqrt(5), rel=1e-2, abs=1e-12
+            )
+            assert int(match[3]) == sum(x < 0 for x in d)
+        # the baselines never read the dictionary: every pair ties
+        assert "= +0 (SE 0), lower at K=4 in 0/5" in lines[1]
+
+    def test_one_size_prints_no_paired_difference(self, config_path, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert "paired mse diff" not in capsys.readouterr().out
 
     def test_zero_workers_is_a_usage_error(self, config_path, tmp_path, capsys):
         out = tmp_path / "results.csv"

@@ -194,6 +194,89 @@ class TestRunBenchmark:
         assert strip_runtimes(pooled) == strip_runtimes(run_benchmark(config))
 
 
+class TestNestedStreams:
+    """Every size shares the largest size's streams: redraw r's K-dictionary
+    is the first K pairs of one stream, and trial t's query is the same at
+    every K."""
+
+    SIZES = dict(dict_sizes=(2, 3, 5), n_dictionary_redraws=2)
+
+    @staticmethod
+    def recorded(monkeypatch, name):
+        calls = []
+        real = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(harness, name, wrapper)
+        return calls
+
+    def test_each_dictionary_is_a_prefix_of_the_largest(self, monkeypatch):
+        config = tiny_config(**self.SIZES)
+        built = self.recorded(monkeypatch, "build_dictionary")
+        pairs = self.recorded(monkeypatch, "build_pair")
+        run_benchmark(config)
+        sizes = [args[1] for args, _ in built]
+        assert sizes == [2, 2, 3, 3, 5, 5]  # ascending K, then redraw
+        largest = {r: d for r, (_, d) in enumerate(built[-2:])}
+        for i, (args, d) in enumerate(built):
+            big = largest[i % 2]
+            for side in ("uplinks", "downlinks"):
+                assert np.array_equal(getattr(d, side).mats, getattr(big, side).mats[: len(d)])
+        assert not np.array_equal(largest[0].uplinks.mats, largest[1].uplinks.mats)
+        # every pair is drawn once: 5 per redraw, then one query per task
+        tasks = len(config.dict_sizes) * 2 * config.n_queries
+        assert len(pairs) == 5 * 2 + tasks
+
+    def test_query_is_the_same_at_every_size(self, monkeypatch):
+        config = tiny_config(**self.SIZES)
+        cases = self.recorded(monkeypatch, "_build_case")
+        records = run_benchmark(config)
+        queries = {}
+        for _, case in cases:
+            queries.setdefault(case.trial, []).append(case)
+        assert sorted(queries) == [0, 1, 2, 3]
+        for trial_cases in queries.values():
+            assert sorted(c.dict_size for c in trial_cases) == [2, 3, 5]
+            for c in trial_cases[1:]:
+                assert np.array_equal(c.query_ul.mat, trial_cases[0].query_ul.mat)
+                assert np.array_equal(c.truth_dl.mat, trial_cases[0].truth_dl.mat)
+        # the baselines never read the dictionary, perfect feedback included
+        baseline = {}
+        for r in records:
+            if not r.metric:
+                baseline.setdefault((r.estimator, r.trial), set()).add(r.mse)
+        assert all(len(v) == 1 for v in baseline.values())
+
+    def test_largest_size_equals_a_single_size_run(self):
+        nested = strip_runtimes(run_benchmark(tiny_config(**self.SIZES)))
+        single = strip_runtimes(
+            run_benchmark(tiny_config(dict_sizes=(5,), n_dictionary_redraws=2))
+        )
+        assert [r for r in nested if r.dict_size == 5] == single
+
+    def test_unsorted_sizes_give_the_same_records(self):
+        config = tiny_config(**self.SIZES)
+        shuffled = tiny_config(**self.SIZES | {"dict_sizes": (3, 5, 2)})
+        assert strip_runtimes(run_benchmark(shuffled)) == strip_runtimes(run_benchmark(config))
+
+    def test_workers_do_not_change_the_csv(self, tmp_path):
+        config = tiny_config(**self.SIZES)
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        emit_csv(strip_runtimes(run_benchmark(config, n_workers=1)), out1)
+        emit_csv(strip_runtimes(run_benchmark(config, n_workers=2)), out2)
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_prefix_must_be_shorter(self):
+        config = tiny_config()
+        prefix = build_dictionary(config, 2, rng_for(9))
+        with pytest.raises(ValueError, match="must be > 2"):
+            build_dictionary(config, 2, rng_for(9), prefix=prefix)
+
+
 class TestCsv:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -14,9 +14,11 @@ from scipy.optimize import nnls
 from covcast.config import parse_config
 from covcast.harness import (
     _TAG_DICTIONARY,
+    _TAG_QUERY,
     _build_case,
     _rng,
     build_dictionary,
+    build_pair,
     make_geometry,
 )
 import covcast.interp as interp
@@ -806,12 +808,19 @@ class TestEstimateDownlink:
 
 
 def paper_scale_case(k: int, trials):
-    """paper_scale.cfg's first K-entry dictionary and the uplink queries of
-    ``trials``."""
+    """paper_scale.cfg's K-entry dictionary and the uplink queries of
+    ``trials``, each drawn from its stream keyed by K = ``k``.
+
+    At K = 500, the config's largest, these are the sweep's own redraw-0
+    dictionary and queries.  At a smaller K they are the streams that the
+    sweep drew for that K before every size shared the largest's streams,
+    which the stalled line search below was found on.
+    """
     config = parse_config(CONFIG_DIR / "paper_scale.cfg")
     geometry = make_geometry(config)
     d = build_dictionary(config, k, _rng(config.master_seed, _TAG_DICTIONARY, k, 0), geometry)
-    return d, [_build_case(config, geometry, k, t).query_ul for t in trials]
+    queries = [_rng(config.master_seed, _TAG_QUERY, k, t) for t in trials]
+    return d, [build_pair(config, geometry, rng)[0] for rng in queries]
 
 
 class TestPaperScale:

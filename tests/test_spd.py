@@ -633,6 +633,55 @@ class TestStack:
         tangent = pickle.loads(pickle.dumps(random_hermitian(np.random.default_rng(15), 3)))
         assert not tangent.mat.flags.writeable
 
+    @staticmethod
+    def chain(points, cuts):
+        """Stacks of ``points[:c]`` for each cut, each extending the last."""
+        stacks, start = [], 0
+        for cut in cuts:
+            stacks.append(SPDStack(points[start:cut], stacks[-1] if stacks else None))
+            start = cut
+        return stacks
+
+    @pytest.mark.parametrize("first", ["prefix", "extension"])
+    def test_extension_reuses_its_prefix_rows(self, first, monkeypatch):
+        # Each point is decomposed once across the chain, and every stack's
+        # arrays are bitwise a fresh stack's, whichever is fitted first.
+        rng = np.random.default_rng(16)
+        points = [random_spd(rng, 10, (1e-9, 1e-4)) for _ in range(12)]
+        cuts = (4, 7, 12)
+        stacks = self.chain(points, cuts)
+        decomposed = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: decomposed.append(len(a)) or real_eigh(a)
+        )
+        for stack in stacks if first == "prefix" else stacks[::-1]:
+            stack.logs
+        assert sum(decomposed) == len(points)
+        monkeypatch.undo()
+        for stack, cut in zip(stacks, cuts):
+            fresh = SPDStack(points[:cut])
+            assert stack.points == fresh.points
+            assert np.array_equal(stack.mats, fresh.mats)
+            assert np.array_equal(stack.logs, fresh.logs)
+            assert not stack.mats.flags.writeable and not stack.logs.flags.writeable
+
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_pickled_extension_leaves_its_prefix_behind(self, filled):
+        rng = np.random.default_rng(17)
+        points = [random_spd(rng, 3) for _ in range(5)]
+        prefix, stack = self.chain(points, (2, 5))
+        if filled:
+            stack.logs
+        clone = pickle.loads(pickle.dumps(stack))
+        assert stack._prefix is prefix and clone._prefix is None
+        for original, copy in [(p.mat, c.mat) for p, c in zip(stack, clone)] + [
+            (stack.mats, clone.mats),
+            (stack.logs, clone.logs),
+        ]:
+            assert np.array_equal(copy, original)
+            assert not copy.flags.writeable
+
     @pytest.mark.parametrize("k", STACK_SIZES)
     def test_logs_and_inverse_roots(self, k):
         # logs are stacked; inverse roots are not stored, since affine-invariant
