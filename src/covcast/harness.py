@@ -258,6 +258,8 @@ def _run_estimators(
 def _build_case(
     config: ScenarioConfig, geometry: ArrayGeometry, dict_size: int, trial: int
 ) -> QueryCase:
+    """Trial ``trial``'s query, the same bits at every K.  Each task draws it
+    afresh, so no task depends on what another left behind."""
     query_ul, _, truth_dl = build_pair(config, geometry, _query_rng(config, trial))
     return QueryCase(dict_size, trial, query_ul, truth_dl)
 
@@ -265,7 +267,8 @@ def _build_case(
 # The sweep this process serves: (config, geometry, dictionaries).  Pool
 # workers receive it once through the pool initializer, inherited rather than
 # pickled under the fork start method, so a task is only (dictionary index,
-# trial) and each worker fits each dictionary's stacks once.
+# trial).  Each worker fits each pair once: a dictionary's stacks reuse the
+# rows of the smaller dictionary they extend.
 _SWEEP: tuple | None = None
 
 
