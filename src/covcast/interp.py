@@ -259,15 +259,16 @@ def mirror_weights(
     them in coordinates where that norm is Frobenius (for the
     affine-invariant metric, whitened, ``||X^{-1/2} V X^{-1/2}||_F``).  The
     simplex QP takes the tangents as the columns of their real
-    ``(2 n^2, k_s)`` view.  Entries outside the selected set receive weight
-    zero.
+    half-vectorizations (:func:`_tangent_rows`), an ``(n^2, k_s)`` matrix
+    with the Gram matrix of the tangents' Frobenius inner products.
+    Entries outside the selected set receive weight zero.
     """
     k = len(dictionary)
     k_s = min(dictionary.uplinks.dim**2, k)
     selected = nearest(metric, dictionary.uplinks, query, k_s)[0]
 
     tangents = log_maps(metric, query, dictionary.uplinks, selected)
-    w_sel = solve_simplex_qp(tangents.reshape(k_s, -1).view(np.float64).T).w
+    w_sel = solve_simplex_qp(_tangent_rows(tangents, np.arange(k_s), 1.0).T).w
 
     w = np.zeros(k)
     w[selected] = w_sel
@@ -558,7 +559,12 @@ def estimate_downlink(
     ``karcher-nonconverged`` when its Newton iteration stops at the cap or
     stalls above ``KARCHER_FLOOR_TOL`` (see :func:`~covcast.spd.barycenter`), and
     ``karcher-floor`` when it converged at the float64 noise floor, with a
-    residual between ``KARCHER_TOL`` and ``KARCHER_FLOOR_TOL``.
+    residual between ``KARCHER_TOL`` and ``KARCHER_FLOOR_TOL``: below the
+    residual's rounding floor (the stop caps that floor at a tenth of
+    ``KARCHER_FLOOR_TOL``), or where a unit Newton step failed to halve it.
+    The Newton systems' Hessian leaves out the lightest points within a
+    bound that moves no step by more than conjugate gradients' own
+    tolerance, so it changes no flag's meaning.
     """
     flags: tuple[str, ...] = ()
     if scheme.kind is SchemeKind.NEAREST_NEIGHBOR:

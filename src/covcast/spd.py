@@ -49,18 +49,23 @@ HERMITIAN_ATOL = 1e-12
 # Stopping rule for the Karcher (affine-invariant barycenter) Newton
 # iteration: tangent-mean Frobenius norm (the residual) below KARCHER_TOL,
 # hard cap on iterations.  For badly conditioned inputs the residual bottoms
-# out above KARCHER_TOL at the float64 noise floor; once it is below
-# KARCHER_FLOOR_TOL, a unit Newton step that fails to halve it ends the
-# iteration at the current iterate, accepted as the numerically attained mean.
+# out above KARCHER_TOL at the float64 noise floor.  The iteration stops,
+# converged, once the residual is below its rounding floor, capped at
+# _FLOOR_STOP_CAP (see barycenter); and once it is below KARCHER_FLOOR_TOL,
+# a unit Newton step that fails to halve it ends the iteration at the
+# current iterate, accepted as the numerically attained mean.
 KARCHER_TOL = 1e-10
 KARCHER_FLOOR_TOL = 1e-8
 KARCHER_MAX_ITER = 200
-# Relative residual to which conjugate gradients solves each Newton system.
+_FLOOR_STOP_CAP = KARCHER_FLOOR_TOL / 10
+# Relative residual to which conjugate gradients solves each Newton system,
+# and the bound on the Hessian terms a Newton system leaves out.
 _NEWTON_CG_RTOL = 1e-6
+_EPS = np.finfo(np.float64).eps
 # A whitened Karcher step ``t V`` with ``||t V||_F`` below this leaves the
 # iterate unchanged up to float64 rounding: ``exp(t V)`` is the identity to
 # within an ulp.
-_STEP_RESOLUTION = np.finfo(np.float64).eps
+_STEP_RESOLUTION = _EPS
 
 # Slack, in the log units of both distances, by which the affine-invariant
 # nearest-entry search of :func:`nearest` widens its log-Euclidean cut; the
@@ -610,12 +615,14 @@ class BarycenterResult:
     ``converged`` is always True for the closed-form metrics.  For the
     affine-invariant metric it is True when the Newton iteration drove the
     residual (the Frobenius norm of the whitened tangent mean) below
-    ``KARCHER_TOL``, or stopped at the float64 noise floor: the residual
-    was below ``KARCHER_FLOOR_TOL`` and a unit Newton step failed to halve
-    it, so ``point`` and ``residual`` are the iterate before that step.  It is
-    False when ``KARCHER_MAX_ITER`` iterations pass without either, or when
-    the line search stalls above ``KARCHER_FLOOR_TOL``, halving the step
-    until it can no longer move the iterate; ``point`` is then the last
+    ``KARCHER_TOL``, or stopped at the float64 noise floor: either the
+    residual fell below its rounding floor, capped at a tenth of
+    ``KARCHER_FLOOR_TOL`` (see :func:`barycenter`), or it was below
+    ``KARCHER_FLOOR_TOL`` and a unit Newton step failed to halve it, so
+    ``point`` and ``residual`` are the iterate before that step.  It is
+    False when ``KARCHER_MAX_ITER`` iterations pass without any of these, or
+    when the line search stalls above ``KARCHER_FLOOR_TOL``, halving the
+    step until it can no longer move the iterate; ``point`` is then the last
     accepted iterate.
     """
 
@@ -643,9 +650,11 @@ class _KarcherIterate:
     """A Karcher iterate ``x`` with ``sq = x^{1/2}``, the factors ``u`` and
     ``mu`` of ``x^{-1/2} R_i x^{-1/2} = u_i diag(e^{mu_i}) u_i^H``, the
     tangent mean ``sum_i w_i u_i diag(mu_i) u_i^H`` and its Frobenius norm,
-    the residual."""
+    the residual, and the residual's rounding floor
+    ``n eps sum_i w_i cond(x^{-1/2} R_i x^{-1/2})``, each condition number
+    ``e^{max mu_i - min mu_i}`` (see :func:`barycenter`)."""
 
-    __slots__ = ("x", "sq", "u", "mu", "tangent", "residual")
+    __slots__ = ("x", "sq", "u", "mu", "tangent", "residual", "floor")
 
     def __init__(self, x: np.ndarray, mats: np.ndarray, w: np.ndarray) -> None:
         self.x = x
@@ -658,6 +667,14 @@ class _KarcherIterate:
         for wi, log_i in zip(w, _spectral(self.u, self.mu)):
             self.tangent += wi * log_i
         self.residual = float(_norms(self.tangent[None])[0])
+        with np.errstate(over="ignore"):  # an infinite floor is capped
+            cond = np.exp(self.mu[:, -1] - self.mu[:, 0])
+        self.floor = x.shape[-1] * _EPS * float(w @ cond)
+
+    @property
+    def converged(self) -> bool:
+        """Residual below ``KARCHER_TOL`` or below its capped rounding floor."""
+        return self.residual < max(KARCHER_TOL, min(self.floor, _FLOOR_STOP_CAP))
 
 
 def _karcher_hessian(u: np.ndarray, mu: np.ndarray, w: np.ndarray):
@@ -681,6 +698,32 @@ def _karcher_hessian(u: np.ndarray, mu: np.ndarray, w: np.ndarray):
         return np.sum(u @ ((uh @ v @ u) * phi) @ uh, axis=0)
 
     return apply
+
+
+def _hessian_support(mu: np.ndarray, w: np.ndarray) -> tuple[np.ndarray | slice, float]:
+    """The points whose terms a Newton system's Hessian keeps, as indices in
+    point order (``slice(None)`` when it keeps them all), and ``delta``, the
+    total weight of the others.
+
+    The term ``H_i`` of :func:`_karcher_hessian` scales the coordinates of
+    ``V`` in the eigenbasis ``U_i`` by the entries of ``Phi_i``, so
+    ``I <= H_i <= max Phi_i I`` with ``max Phi_i = h coth h`` at
+    ``h = (max mu_i - min mu_i) / 2``.  With the terms of a dropped set
+    replaced by ``delta I``, the cut Hessian ``Hc`` is still ``>= I``, and
+    ``||H - Hc|| <= sum_dropped w_i (max Phi_i - 1)``.  The smallest weights
+    are dropped while that sum stays at most ``_NEWTON_CG_RTOL``.  The cut
+    step ``Vc = Hc^{-1} T`` then has ``||Vc|| <= ||T||``, and solves the
+    exact system to the relative residual conjugate gradients already
+    allows: ``||H Vc - T|| = ||(H - Hc) Vc|| <= _NEWTON_CG_RTOL ||T||``; so
+    ``||H^{-1} T - Vc|| <= _NEWTON_CG_RTOL ||Vc||``.
+    """
+    half = (mu[:, -1] - mu[:, 0]) / 2.0
+    excess = np.divide(half, np.tanh(half), out=np.ones_like(half), where=half > 0.0) - 1.0
+    order = np.argsort(w, kind="stable")
+    cut = int(np.searchsorted(np.cumsum(w[order] * excess[order]), _NEWTON_CG_RTOL, "right"))
+    if cut == 0:
+        return slice(None), 0.0
+    return np.sort(order[cut:]), float(w[order[:cut]].sum())
 
 
 def _conjugate_gradient(apply, b: np.ndarray) -> np.ndarray:
@@ -724,8 +767,15 @@ def barycenter(
     of the points with nonzero weight gives the whitened tangent mean
     ``T = sum_i w_i U_i diag(mu_i) U_i^H`` (the negative gradient; its
     Frobenius norm is the residual) and the Hessian ``H`` (see
-    :func:`_karcher_hessian`).  Conjugate gradients solves ``H V = T`` and
-    the step is
+    :func:`_karcher_hessian`).  Conjugate gradients solves ``Hc V = T``,
+    where the cut Hessian ``Hc`` keeps the terms of the points whose weight
+    matters and replaces the others by ``delta I``, ``delta`` their total
+    weight.  The points left out are the lightest, as many as keep
+    ``||H - Hc||`` at most ``_NEWTON_CG_RTOL`` (see
+    :func:`_hessian_support`), so the step solves the exact system to the
+    relative residual conjugate gradients allows anyway: the cut changes
+    the path, never the fixed point, which the exact gradient over every
+    point and the stopping rule decide.  The step is
 
         ``X <- X^{1/2} exp(t V) X^{1/2}``,
 
@@ -733,16 +783,36 @@ def barycenter(
     ``1 - t/2`` (a unit step must halve it).  This sufficient decrease of
     the residual breaks the two-cycles a full Newton step can fall into far
     from the mean, and unlike the objective the residual is not swamped by
-    round-off near the mean.  The iteration stops when the residual drops
-    below ``KARCHER_TOL``; or, at the float64 noise floor of badly
-    conditioned points, when the residual is below ``KARCHER_FLOOR_TOL`` and
-    a unit step fails to halve it, returning the iterate before that step as
-    converged; or, when the residual is above ``KARCHER_FLOOR_TOL``, once
+    round-off near the mean.  The iteration stops, converged, when the
+    residual drops below ``KARCHER_TOL`` or below its rounding floor (next
+    paragraph); or, at the float64 noise floor of badly conditioned points,
+    when the residual is below ``KARCHER_FLOOR_TOL`` and a unit step fails
+    to halve it, returning the iterate before that step as converged (where
+    the floor below underestimates the rounding); or, when the residual is
+    above ``KARCHER_FLOOR_TOL``, once
     the halved step ``t V`` has ``||t V||_F < 2^-52``, so it can no longer
     move the iterate beyond rounding, returning the iterate before that step
     as not converged (a stall that would otherwise halve ``t`` until the
     cap); or after ``KARCHER_MAX_ITER`` iterations (every trial step counts
     as one), returning the last accepted iterate as not converged.
+
+    **The rounding floor.**  Each log-eigenvalue ``mu_ij`` errs by about
+    ``n eps cond_i``, ``cond_i = cond(X^{-1/2} R_i X^{-1/2}) =
+    e^{max mu_i - min mu_i}`` (the bound :func:`nearest` states for the
+    distances), so the computed residual is known to about
+    ``p = n eps sum_i w_i cond_i``.  The conditions come free with the
+    iterate's ``mu``.  Once the residual is below ``p`` no step can be told
+    from rounding, and trying one would cost a stacked eigendecomposition
+    that fails to halve the residual; so the iteration stops there,
+    converged.  The stop is capped at ``KARCHER_FLOOR_TOL / 10``.  A
+    faithful recomputation of the residual at the returned mean (another
+    eigensolver, or a Schur ``logm``) reads it to within the rounding of
+    both computations; the cap accepts no computed residual above a tenth
+    of ``KARCHER_FLOOR_TOL`` and leaves the other nine tenths for that
+    rounding.  ``p`` is a first-order bound and overstates the rounding
+    where the eigenvalue errors partly cancel, so uncapped, at ``p`` up to
+    ``KARCHER_FLOOR_TOL``, the stop accepted residuals that a recomputation
+    read at 8.4e-9, within rounding of that tolerance.
 
     Parameters
     ----------
@@ -782,8 +852,10 @@ def barycenter(
     mats = points.mats[active]
     here = _KarcherIterate(le_point, mats, wa)
     iterations = 0
-    while here.residual >= KARCHER_TOL:
-        step = _conjugate_gradient(_karcher_hessian(here.u, here.mu, wa), here.tangent)
+    while not here.converged:
+        keep, delta = _hessian_support(here.mu, wa)
+        hessian = _karcher_hessian(here.u[keep], here.mu[keep], wa[keep])
+        step = _conjugate_gradient(lambda v: hessian(v) + delta * v, here.tangent)
         step_norm = float(_norms(step[None])[0])
         t = 1.0
         while True:
@@ -791,7 +863,7 @@ def barycenter(
                 return BarycenterResult(SPDMatrix(here.x), False, iterations, here.residual)
             iterations += 1
             trial = _KarcherIterate(_hermitian_congruence(here.sq, _expm(t * step)), mats, wa)
-            if trial.residual <= (1.0 - t / 2.0) * here.residual or trial.residual < KARCHER_TOL:
+            if trial.residual <= (1.0 - t / 2.0) * here.residual or trial.converged:
                 break
             if here.residual < KARCHER_FLOOR_TOL:
                 # round-off noise floor: the mean is attained to the accuracy

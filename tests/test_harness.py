@@ -194,6 +194,36 @@ class TestRunBenchmark:
         assert strip_runtimes(pooled) == strip_runtimes(run_benchmark(config))
 
 
+    def test_stacks_are_fitted_before_the_first_query(self, monkeypatch):
+        # Every dictionary's stacks are fitted once per process before any
+        # query reads them: by the pool initializer in each worker, and
+        # before the first task on the serial path.
+        config = tiny_config(dict_sizes=(2, 3), n_dictionary_redraws=2, n_queries=1)
+
+        def fitted(dictionaries) -> bool:
+            stacks = [s for d in dictionaries for s in (d.uplinks, d.downlinks)]
+            return all(s._mats is not None and s._logs is not None for s in stacks)
+
+        geometry = make_geometry(config)
+        rng = rng_for(3)
+        small = build_dictionary(config, 2, rng, geometry)
+        large = build_dictionary(config, 3, rng, geometry, prefix=small)
+        monkeypatch.setattr(harness, "_SWEEP", None)
+        harness._init_sweep(config, geometry, (small, large))
+        assert fitted((small, large))
+
+        real = harness._run_trial
+        seen = []
+
+        def checked(task, sweep=None):
+            seen.append(fitted(sweep[2]))
+            return real(task, sweep)
+
+        monkeypatch.setattr(harness, "_run_trial", checked)
+        run_benchmark(config)
+        assert seen and all(seen)
+
+
 class TestNestedStreams:
     """Every size shares the largest size's streams: redraw r's K-dictionary
     is the first K pairs of one stream, and trial t's query is the same at

@@ -1,5 +1,6 @@
 """Weight-selection schemes and the dictionary estimator."""
 
+import functools
 import pickle
 import warnings
 from itertools import combinations
@@ -51,7 +52,13 @@ from covcast.spd import (
     nearest,
     whitened_log_map,
 )
-from helpers import frob, random_hermitian, random_invertible, random_spd
+from helpers import (
+    check_cut_newton_step,
+    frob,
+    random_hermitian,
+    random_invertible,
+    random_spd,
+)
 
 METRICS = list(Metric)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -816,11 +823,19 @@ def paper_scale_case(k: int, trials):
     sweep drew for that K before every size shared the largest's streams,
     which the stalled line search below was found on.
     """
+    config, geometry, d = paper_scale_dictionary(k)
+    queries = [_rng(config.master_seed, _TAG_QUERY, k, t) for t in trials]
+    return d, [build_pair(config, geometry, rng)[0] for rng in queries]
+
+
+@functools.cache
+def paper_scale_dictionary(k: int):
+    """paper_scale.cfg, its geometry and :func:`paper_scale_case`'s K-entry
+    dictionary, built once per test session."""
     config = parse_config(CONFIG_DIR / "paper_scale.cfg")
     geometry = make_geometry(config)
     d = build_dictionary(config, k, _rng(config.master_seed, _TAG_DICTIONARY, k, 0), geometry)
-    queries = [_rng(config.master_seed, _TAG_QUERY, k, t) for t in trials]
-    return d, [build_pair(config, geometry, rng)[0] for rng in queries]
+    return config, geometry, d
 
 
 class TestPaperScale:
@@ -892,6 +907,45 @@ class TestPaperScale:
                 assert abs(at_cut.residual - cut.residual) <= gap + k * self.EPS * farthest
                 moved = distance(metric, cut.point, full.point)
                 assert moved <= cut.residual + full.residual + gap + spd.KARCHER_FLOOR_TOL
+
+    def test_cut_newton_step_within_bound(self):
+        # The kernel/affine-invariant means of the sweep's K=500 queries, at
+        # the log-Euclidean start where barycenter solves its first Newton
+        # system: the cut drops each query's lightest entries.
+        d, queries = paper_scale_case(500, range(4))
+        for q in queries:
+            w = select_bandwidth(d, q, Metric.AFFINE_INVARIANT)[1].w
+            active = np.flatnonzero(w > 0.0)
+            wa = w[active]
+            start = spd._expm(np.tensordot(wa, d.downlinks.logs[active], axes=1))
+            here = spd._KarcherIterate(start, d.downlinks.mats[active], wa)
+            assert check_cut_newton_step(here, wa)
+
+    def test_rounding_size_weight_perturbations_flip_no_nonconverged(self):
+        # The sweep's K=500 kernel and mirror affine-invariant means, with
+        # their weights perturbed by 1e-15 relative: each still converges.
+        metric = Metric.AFFINE_INVARIANT
+        d, queries = paper_scale_case(500, range(4))
+        for q in queries:
+            for w in (select_bandwidth(d, q, metric)[1].w, mirror_weights(d, q, metric).w):
+                assert barycenter(metric, d.downlinks, w).converged
+                for seed in range(5):
+                    noise = np.random.default_rng(seed).standard_normal(len(d))
+                    perturbed = w * (1.0 + 1e-15 * noise)
+                    result = barycenter(metric, d.downlinks, perturbed / perturbed.sum())
+                    assert result.converged
+
+    def test_forced_stall_flags(self, monkeypatch):
+        # Every Newton step forced to zero, so no step can move the iterate:
+        # the line search stalls far above the rounding floor, and the
+        # estimate is flagged, not stopped as converged.
+        d, (q,) = paper_scale_case(500, [0])
+        monkeypatch.setattr(spd, "_conjugate_gradient", lambda apply, b: np.zeros_like(b))
+        est = estimate_downlink(d, q, Scheme.mirror(), Metric.AFFINE_INVARIANT)
+        assert FLAG_KARCHER_NONCONVERGED in est.flags
+        result = barycenter(Metric.AFFINE_INVARIANT, d.downlinks, est.weights.w)
+        assert not result.converged and result.iterations == 1
+        assert result.residual >= spd.KARCHER_FLOOR_TOL
 
     def test_stalled_line_search_ends_before_the_cap(self):
         # paper_scale.cfg K=300, trial 190: its kernel/affine-invariant

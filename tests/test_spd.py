@@ -38,7 +38,13 @@ from covcast.spd import (
     matrix_sqrt,
     whitened_log_map,
 )
-from helpers import frob, random_hermitian, random_invertible, random_spd
+from helpers import (
+    check_cut_newton_step,
+    frob,
+    random_hermitian,
+    random_invertible,
+    random_spd,
+)
 
 METRICS = list(Metric)
 
@@ -476,6 +482,18 @@ class TestNewton:
             v = random_hermitian(rng, 5).mat
             assert np.vdot(v, hessian(v)).real >= np.vdot(v, v).real * (1 - 1e-12)
 
+    def test_cut_newton_step_within_bound(self):
+        # At each ensemble's log-Euclidean start, where barycenter solves its
+        # first Newton system.
+        dropped = []
+        for seed in range(8):
+            points, w = spread_ensemble(seed)
+            active = w > 0.0
+            mats, wa = np.stack([p.mat for p in points])[active], w[active]
+            start = spd._expm(np.tensordot(wa, spd._logm(mats), axes=1))
+            dropped.append(check_cut_newton_step(spd._KarcherIterate(start, mats, wa), wa))
+        assert any(dropped)
+
     # On seeds 0, 21, 23, 29 and 31 a damped fixed-point iteration (the
     # unit Karcher step, halved whenever the residual grows) is still above
     # the floor after 200 iterations.
@@ -501,6 +519,10 @@ class TestNewton:
         assert 0.0 < result.residual < spd.KARCHER_FLOOR_TOL
 
     def test_floor_stop_returns_the_iterate_before_the_failed_step(self, monkeypatch):
+        # With the rounding-floor stop capped at 0 it never fires, and this
+        # mean ends where a unit step fails to halve a residual above
+        # KARCHER_TOL: the failed-step path, which the floor stop otherwise
+        # pre-empts.
         iterates = []
         real = spd._KarcherIterate
 
@@ -509,7 +531,8 @@ class TestNewton:
             return iterates[-1]
 
         monkeypatch.setattr(spd, "_KarcherIterate", recorded)
-        points, w = spread_ensemble(2)
+        monkeypatch.setattr(spd, "_FLOOR_STOP_CAP", 0.0)
+        points, w = spread_ensemble(3)
         result = barycenter(Metric.AFFINE_INVARIANT, points, w)
         assert result.converged and result.residual >= spd.KARCHER_TOL
         before, failed = iterates[-2], iterates[-1]
