@@ -92,7 +92,7 @@ def check_cut_newton_step(here, w: np.ndarray) -> bool:
         phi = np.where(half == 0.0, 1.0, half / np.tanh(half))
     bound = float(w[dropped] @ (phi.max(axis=(1, 2))[dropped] - 1.0))
     assert bound <= spd._NEWTON_CG_RTOL
-    assert abs(delta - w[dropped].sum()) <= 1e-12 * max(delta, 1e-300)
+    assert abs(delta - w[dropped].sum()) <= 1e-12 * delta
     exact = solve_hermitian_system(spd._karcher_hessian(here.u, here.mu, w), here.tangent)
     cut_hessian = spd._karcher_hessian(here.u[keep], here.mu[keep], w[keep])
     cut = solve_hermitian_system(lambda v: cut_hessian(v) + delta * v, here.tangent)

@@ -193,7 +193,6 @@ class TestRunBenchmark:
         assert seen == [(0, 0), (1, 1), (2, 0), (3, 1)]
         assert strip_runtimes(pooled) == strip_runtimes(run_benchmark(config))
 
-
     def test_stacks_are_fitted_before_the_first_query(self, monkeypatch):
         # Every dictionary's stacks are fitted once per process before any
         # query reads them: by the pool initializer in each worker, and

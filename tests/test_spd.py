@@ -518,6 +518,26 @@ class TestNewton:
         assert result.iterations < spd.KARCHER_MAX_ITER
         assert 0.0 < result.residual < spd.KARCHER_FLOOR_TOL
 
+    def test_rounding_floor_stop_takes_no_trial_step(self, monkeypatch):
+        # This mean's residual falls below its rounding floor while still
+        # above KARCHER_TOL: the iteration stops at that iterate, converged,
+        # and builds no trial iterate after it.
+        iterates = []
+        real = spd._KarcherIterate
+
+        def recorded(x, mats, w):
+            iterates.append(real(x, mats, w))
+            return iterates[-1]
+
+        monkeypatch.setattr(spd, "_KarcherIterate", recorded)
+        points, w = spread_ensemble(2)
+        result = barycenter(Metric.AFFINE_INVARIANT, points, w)
+        last = iterates[-1]
+        assert result.converged and result.iterations == len(iterates) - 1
+        assert np.array_equal(result.point.mat, SPDMatrix(last.x).mat)
+        assert spd.KARCHER_TOL <= result.residual == last.residual
+        assert result.residual < min(last.floor, spd._FLOOR_STOP_CAP)
+
     def test_floor_stop_returns_the_iterate_before_the_failed_step(self, monkeypatch):
         # With the rounding-floor stop capped at 0 it never fires, and this
         # mean ends where a unit step fails to halve a residual above
