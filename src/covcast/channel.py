@@ -233,7 +233,16 @@ def model_covariance(
     received power and ``P_N`` the thermal noise power.  The result is
     Hermitian by construction and positive definite whenever ``P_N > 0``.
     """
-    dist = _distances(field.scatterers, geometry.positions)  # (N_S, N)
+    dist = _distances(field.scatterers, geometry.positions)
+    return SPDMatrix(_model_matrix(dist, field, params))
+
+
+def _model_matrix(
+    dist: np.ndarray, field: ScattererField, params: PropagationParams
+) -> np.ndarray:
+    """:func:`model_covariance`'s exactly Hermitian array, from the field's
+    ``(N_S, N)`` scatterer-to-antenna distances ``dist``, which the uplink
+    and downlink share."""
     phase = np.exp(2j * np.pi / params.wavelength * dist)
     r = phase.T @ phase.conj()
     r = _herm(r)
@@ -245,7 +254,7 @@ def model_covariance(
     np.fill_diagonal(
         r, params.rx_power / field.distance_to_array**2 + params.noise_power
     )
-    return SPDMatrix(r)
+    return r
 
 
 def channel_realizations(
@@ -260,14 +269,28 @@ def channel_realizations(
     """
     if n_draws < 1:
         raise ValueError("need at least one realization")
-    n = covariance.dim
     sqrt_r = _sqrtm(covariance.mat)
-    # Bitwise ``(a + 1j * b) / np.sqrt(2)``: numpy divides a complex number
-    # by the real ``c`` as ``(re + im * 0) * (1 / c)``, so each part is its
-    # draw times ``1 / sqrt(2)``, written in place without complex temporaries.
-    w = np.empty((n_draws, n), dtype=np.complex128)
-    np.multiply(rng.standard_normal((n_draws, n)), _INV_SQRT2, out=w.real)
-    np.multiply(rng.standard_normal((n_draws, n)), _INV_SQRT2, out=w.imag)
+    return _realizations(sqrt_r, *_normal_draws(rng, n_draws, covariance.dim))
+
+
+def _normal_draws(
+    rng: np.random.Generator, n_draws: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n_draws, n)`` standard normals of ``w``'s real, then imaginary
+    parts: every draw :func:`channel_realizations` makes."""
+    return rng.standard_normal((n_draws, n)), rng.standard_normal((n_draws, n))
+
+
+def _realizations(sqrt_r: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``w @ sqrt_r.T`` for ``w = (re + 1j * im) / sqrt(2)``, bitwise.
+
+    numpy divides a complex number by the real ``c`` as
+    ``(re + im * 0) * (1 / c)``, so each part is its draw times
+    ``1 / sqrt(2)``, written in place without complex temporaries.
+    """
+    w = np.empty(re.shape, dtype=np.complex128)
+    np.multiply(re, _INV_SQRT2, out=w.real)
+    np.multiply(im, _INV_SQRT2, out=w.imag)
     return w @ sqrt_r.T
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -38,17 +39,20 @@ from .channel import (
     ArrayGeometry,
     ArrayKind,
     PropagationParams,
+    ScattererField,
+    _distances,
+    _model_matrix,
+    _normal_draws,
+    _realizations,
     draw_scatterers,
     make_random_square,
     make_ula,
-    model_covariance,
     place_ue,
-    channel_realizations,
     sample_covariance,
 )
 from .config import ScenarioConfig
 from .interp import Dictionary, Scheme, estimate_downlink
-from .spd import Metric, SPDMatrix, distance
+from .spd import Metric, SPDMatrix, _sqrtm, distance
 
 __all__ = [
     "QueryCase",
@@ -129,29 +133,54 @@ def build_pair(
     evaluates the model covariance at the uplink and downlink wavelengths
     from that same field, and returns the two sample covariances (independent
     fading draws) plus the noiseless model downlink covariance as ground
-    truth.
+    truth.  It is :func:`_synthesize_pair` of :func:`_draw_pair`.
     """
+    return _synthesize_pair(config, geometry, _draw_pair(config, geometry, rng))
+
+
+def _draw_pair(
+    config: ScenarioConfig, geometry: ArrayGeometry, rng: np.random.Generator
+) -> tuple[ScattererField, tuple[np.ndarray, ...]]:
+    """Every draw of one pair, in stream order: the UE, the scatterer radius
+    and field, then the uplink's and the downlink's fading normals."""
     reference = geometry.centroid
     ue = place_ue(rng, config.d_min, config.d_max, reference=reference)
     radius = rng.uniform(config.r_min, config.r_max)
     field = draw_scatterers(rng, ue, radius, config.n_scatterers, reference=reference)
+    n = geometry.n_antennas
+    normals_ul = _normal_draws(rng, config.n_realizations, n)
+    normals_dl = _normal_draws(rng, config.n_realizations, n)
+    return field, (*normals_ul, *normals_dl)
 
+
+def _synthesize_pair(
+    config: ScenarioConfig,
+    geometry: ArrayGeometry,
+    draws: tuple[ScattererField, tuple[np.ndarray, ...]],
+) -> tuple[SPDMatrix, SPDMatrix, SPDMatrix]:
+    """:func:`build_pair`'s arithmetic on one pair's draws; reads no generator.
+
+    Both bands share the field's scatterer-to-antenna distances.  Each model
+    covariance is decomposed once: the ``eigh`` of its square root is also
+    its positive-definiteness check.
+    """
+    field, (re_ul, im_ul, re_dl, im_dl) = draws
+    dist = _distances(field.scatterers, geometry.positions)
     params_ul = PropagationParams(
         config.wavelength_ul, config.rx_power, config.noise_power
     )
     params_dl = PropagationParams(
         config.wavelength_dl, config.rx_power, config.noise_power
     )
-    model_ul = model_covariance(geometry, field, params_ul)
-    model_dl = model_covariance(geometry, field, params_dl)
+    model_ul = _model_matrix(dist, field, params_ul)
+    model_dl = _model_matrix(dist, field, params_dl)
+    sample_ul = sample_covariance(_realizations(_sqrtm(model_ul), re_ul, im_ul))
+    sample_dl = sample_covariance(_realizations(_sqrtm(model_dl), re_dl, im_dl))
+    return sample_ul, sample_dl, SPDMatrix._positive(model_dl)
 
-    sample_ul = sample_covariance(
-        channel_realizations(model_ul, config.n_realizations, rng)
-    )
-    sample_dl = sample_covariance(
-        channel_realizations(model_dl, config.n_realizations, rng)
-    )
-    return sample_ul, sample_dl, model_dl
+
+# Pairs build_dictionary has drawn and not yet collected, at most.
+_PAIRS_IN_FLIGHT = 4
 
 
 def build_dictionary(
@@ -166,6 +195,15 @@ def build_dictionary(
     With a ``prefix``, the first pairs are the prefix's and only the
     ``dict_size - len(prefix)`` pairs after them are drawn from ``rng``;
     the result extends the prefix (:class:`~covcast.interp.Dictionary`).
+
+    The pairs, and the state ``rng`` is left in, are bitwise those of
+    :func:`build_pair` called once per pair.  The calling thread makes
+    every draw, in stream order, while one helper thread synthesizes the
+    pairs already drawn (numpy releases the GIL in that arithmetic), at
+    most ``_PAIRS_IN_FLIGHT`` ahead; the helper has ended when this
+    returns or raises.  If a pair's synthesis raises, its exception reaches
+    the caller, and the state of ``rng`` is unspecified: the caller may
+    have drawn later pairs.
     """
     start = 0 if prefix is None else len(prefix)
     if dict_size <= start:
@@ -173,9 +211,14 @@ def build_dictionary(
     if geometry is None:
         geometry = make_geometry(config)
     pairs = []
-    for _ in range(dict_size - start):
-        sample_ul, sample_dl, _ = build_pair(config, geometry, rng)
-        pairs.append((sample_ul, sample_dl))
+    pending = deque()
+    with ThreadPoolExecutor(1) as helper:
+        for _ in range(dict_size - start):
+            draws = _draw_pair(config, geometry, rng)
+            pending.append(helper.submit(_synthesize_pair, config, geometry, draws))
+            if len(pending) == _PAIRS_IN_FLIGHT:
+                pairs.append(pending.popleft().result()[:2])
+        pairs.extend(future.result()[:2] for future in pending)
     return Dictionary(pairs, prefix)
 
 

@@ -167,6 +167,15 @@ class SPDMatrix(_Hermitian):
                 f"matrix is not positive definite: min eigenvalue = {eigmin:.3e}"
             )
 
+    @classmethod
+    def _positive(cls, entries) -> SPDMatrix:
+        """``SPDMatrix(entries)`` for a matrix whose eigenvalues the caller's
+        own ``eigh`` has already found positive: the Hermitian gate runs,
+        the ``eigvalsh`` check does not."""
+        point = cls.__new__(cls)
+        _Hermitian.__init__(point, entries)
+        return point
+
 
 class HermitianTangent(_Hermitian):
     """Complex Hermitian matrix, an element of a tangent space on the cone.

@@ -313,26 +313,50 @@ def textbook_sample_covariance(h):
     return SPDMatrix((r + r.conj().T) / 2)
 
 
+def textbook_pair(config, geometry, rng):
+    """``harness.build_pair`` from the textbook formulas above, draw for draw."""
+    reference = geometry.centroid
+    ue = place_ue(rng, config.d_min, config.d_max, reference=reference)
+    radius = rng.uniform(config.r_min, config.r_max)
+    field = draw_scatterers(rng, ue, radius, config.n_scatterers, reference=reference)
+    model_ul, model_dl = (
+        textbook_model_covariance(
+            geometry, field, PropagationParams(wavelength, config.rx_power, config.noise_power)
+        )
+        for wavelength in (config.wavelength_ul, config.wavelength_dl)
+    )
+    sample_ul = textbook_sample_covariance(
+        textbook_channel_realizations(model_ul, config.n_realizations, rng)
+    )
+    sample_dl = textbook_sample_covariance(
+        textbook_channel_realizations(model_dl, config.n_realizations, rng)
+    )
+    return sample_ul, sample_dl, model_dl
+
+
 class TestTextbookSynthesis:
     """Pair synthesis is bitwise the textbook formulas above, draw for draw."""
 
     @pytest.mark.parametrize("name", ["desk_ula.cfg", "desk_random.cfg", "paper_scale.cfg"])
-    def test_build_pair_is_bitwise_textbook(self, name, monkeypatch):
+    def test_build_pair_is_bitwise_textbook(self, name):
         config = parse_config(CONFIG_DIR / name)
         geometry = harness.make_geometry(config)
+        textbook_rng = np.random.default_rng(7)
+        textbook = [textbook_pair(config, geometry, textbook_rng) for _ in range(3)]
+
         rng = np.random.default_rng(7)
         pairs = [harness.build_pair(config, geometry, rng) for _ in range(3)]
-
-        monkeypatch.setattr(harness, "model_covariance", textbook_model_covariance)
-        monkeypatch.setattr(harness, "channel_realizations", textbook_channel_realizations)
-        monkeypatch.setattr(harness, "sample_covariance", textbook_sample_covariance)
-        textbook_rng = np.random.default_rng(7)
-        textbook = [harness.build_pair(config, geometry, textbook_rng) for _ in range(3)]
-
         for pair, expected in zip(pairs, textbook):
             for got, want in zip(pair, expected):
                 assert np.array_equal(got.mat, want.mat)
         assert rng.bit_generator.state == textbook_rng.bit_generator.state
+
+        dictionary_rng = np.random.default_rng(7)
+        dictionary = harness.build_dictionary(config, 3, dictionary_rng, geometry)
+        for k, (sample_ul, sample_dl, _) in enumerate(textbook):
+            assert np.array_equal(dictionary.uplinks[k].mat, sample_ul.mat)
+            assert np.array_equal(dictionary.downlinks[k].mat, sample_dl.mat)
+        assert dictionary_rng.bit_generator.state == textbook_rng.bit_generator.state
 
     def test_radius_gate_on_the_rim(self):
         ue, radius = np.array([600.0, 35.0]), 30.0

@@ -1,7 +1,9 @@
 """Benchmark driver: pair/dictionary construction, the Monte-Carlo sweep,
 CSV emission, and aggregation."""
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy import stats
 import covcast.harness as harness
 from covcast.baselines import BaselineKind
 from covcast.channel import ArrayKind, PropagationParams, model_covariance
-from covcast.config import ScenarioConfig
+from covcast.config import ScenarioConfig, parse_config
 from covcast.harness import (
     ResultRecord,
     build_dictionary,
@@ -27,6 +29,7 @@ from covcast.interp import Scheme
 from covcast.spd import Metric
 from helpers import frob
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 def tiny_config(**overrides) -> ScenarioConfig:
     base = dict(
@@ -117,6 +120,62 @@ class TestBuildDictionary:
             distances, stats.uniform(loc=config.d_min, scale=config.d_max - config.d_min).cdf
         )
         assert res.pvalue > 0.01
+
+
+class TestPipelinedBuild:
+    """``build_dictionary`` draws every pair on the calling thread and
+    synthesizes them on one helper thread.  Its pairs and the generator's
+    end state are those of a serial ``build_pair`` loop, built fresh or
+    extended from a prefix, and no thread outlives the call."""
+
+    CONFIGS = ["desk_ula.cfg", "desk_random.cfg", "paper_scale.cfg"]
+
+    @staticmethod
+    def build(name, rng, prefix_size):
+        config = parse_config(CONFIG_DIR / name)
+        geometry = make_geometry(config)
+        prefix = build_dictionary(config, prefix_size, rng, geometry) if prefix_size else None
+        return build_dictionary(config, 7, rng, geometry, prefix=prefix)
+
+    @pytest.mark.parametrize("prefix_size", [0, 3])
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_bitwise_a_serial_loop(self, name, prefix_size):
+        rng = rng_for(12)
+        threads = set(threading.enumerate())
+        dictionary = self.build(name, rng, prefix_size)
+        assert set(threading.enumerate()) == threads
+
+        config = parse_config(CONFIG_DIR / name)
+        geometry = make_geometry(config)
+        serial_rng = rng_for(12)
+        for k in range(7):
+            sample_ul, sample_dl, _ = build_pair(config, geometry, serial_rng)
+            assert np.array_equal(dictionary.uplinks[k].mat, sample_ul.mat)
+            assert np.array_equal(dictionary.downlinks[k].mat, sample_dl.mat)
+        assert rng.bit_generator.state == serial_rng.bit_generator.state
+
+    @pytest.mark.parametrize("prefix_size", [0, 3])
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_synthesis_error_reaches_the_caller(self, name, prefix_size, monkeypatch):
+        class SynthesisError(ArithmeticError):
+            pass
+
+        synthesize = harness._synthesize_pair
+        calls = []
+
+        def third_fails(*args):
+            calls.append(args)
+            if len(calls) == prefix_size + 3:
+                raise SynthesisError("third pair failed")
+            return synthesize(*args)
+
+        monkeypatch.setattr(harness, "_synthesize_pair", third_fails)
+        threads = set(threading.enumerate())
+        with pytest.raises(SynthesisError) as raised:
+            self.build(name, rng_for(13), prefix_size)
+        assert raised.type is SynthesisError
+        assert str(raised.value) == "third pair failed"
+        assert set(threading.enumerate()) == threads
 
 
 class TestRunBenchmark:
@@ -246,7 +305,7 @@ class TestNestedStreams:
     def test_each_dictionary_is_a_prefix_of_the_largest(self, monkeypatch):
         config = tiny_config(**self.SIZES)
         built = self.recorded(monkeypatch, "build_dictionary")
-        pairs = self.recorded(monkeypatch, "build_pair")
+        draws = self.recorded(monkeypatch, "_draw_pair")
         run_benchmark(config)
         sizes = [args[1] for args, _ in built]
         assert sizes == [2, 2, 3, 3, 5, 5]  # ascending K, then redraw
@@ -258,7 +317,7 @@ class TestNestedStreams:
         assert not np.array_equal(largest[0].uplinks.mats, largest[1].uplinks.mats)
         # every pair is drawn once: 5 per redraw, then one query per task
         tasks = len(config.dict_sizes) * 2 * config.n_queries
-        assert len(pairs) == 5 * 2 + tasks
+        assert len(draws) == 5 * 2 + tasks
 
     def test_query_is_the_same_at_every_size(self, monkeypatch):
         config = tiny_config(**self.SIZES)

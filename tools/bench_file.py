@@ -11,7 +11,9 @@ For each workload the file holds the end-to-end metrics of one
 ``attempted`` and ``failed`` counts of both.  It also holds the per-call
 table of ``covcast.harness.timing_bench`` on ``configs/desk_ula.cfg`` (what
 ``covcast bench`` prints) and the machine: core count, Python, numpy and
-scipy versions, numpy's BLAS and ``OPENBLAS_NUM_THREADS``.  Without
+scipy versions, numpy's BLAS, ``OPENBLAS_NUM_THREADS`` and
+``parallel_speedup``, how many cores the host grants while it runs
+(:func:`parallel_speedup`).  Without
 ``--out`` the file is ``BENCH_<n>.json`` at the repository root, ``n`` one
 more than the highest already there.  The exit status is 1 when a run fails
 its checks.
@@ -21,11 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,6 +37,8 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SEED = 7
 BENCH_CALLS = 50
+# Rounds of the probe workload: about 0.3 s on one core.
+PROBE_ROUNDS = 600
 
 
 def perfbench(workload: str, seconds: float, trace: int) -> dict:
@@ -57,6 +63,47 @@ def per_call_table() -> list[dict]:
     ]
 
 
+def _probe_work() -> float:
+    """A fixed numpy workload of about 0.3 s on one core, the arithmetic of
+    a paper-scale pair: complex exponentials and products of a (1,000, 10)
+    array, ``PROBE_ROUNDS`` times.  Returns its wall time."""
+    import numpy as np
+
+    x = np.random.default_rng(0).uniform(0.0, 1e3, size=(1000, 10))
+    start = time.perf_counter()
+    for _ in range(PROBE_ROUNDS):
+        phase = np.exp(2j * np.pi * x)
+        phase @ (phase.T @ phase.conj())
+    return time.perf_counter() - start
+
+
+def _probe_process(barrier, done) -> None:
+    import numpy  # noqa: F401 - before the barrier, outside the timed part
+
+    barrier.wait()
+    done.put(_probe_work())
+
+
+def parallel_speedup() -> float:
+    """The probe workload run twice in this process, over the wall time of
+    running it once in each of two processes at the same time: about 2 when
+    the host grants two free cores, about 1 when it grants one."""
+    serial = _probe_work() + _probe_work()
+    context = multiprocessing.get_context("spawn")
+    barrier, done = context.Barrier(3), context.SimpleQueue()
+    processes = [context.Process(target=_probe_process, args=(barrier, done)) for _ in range(2)]
+    for process in processes:
+        process.start()
+    barrier.wait()  # both processes are ready to start the workload
+    start = time.perf_counter()
+    for _ in processes:
+        done.get()
+    parallel = time.perf_counter() - start
+    for process in processes:
+        process.join()
+    return serial / parallel
+
+
 def machine() -> dict:
     import numpy as np
     import scipy
@@ -70,6 +117,7 @@ def machine() -> dict:
         "scipy": scipy.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "parallel_speedup": parallel_speedup(),
     }
 
 
