@@ -94,9 +94,10 @@ def spline_convert(
 
     On a ULA the covariance function of the downlink is a dilation of the
     uplink one, so the per-lag coefficients are extracted (diagonal
-    averaging), interpolated by natural cubic splines (real and imaginary
-    parts separately), evaluated at lags scaled by ``f_dl / f_ul``, rebuilt
-    into a Hermitian Toeplitz matrix, and repaired to positive definiteness.
+    averaging), interpolated by one natural cubic spline of the complex lags
+    (its real and imaginary parts are the splines of each), evaluated at
+    lags scaled by ``f_dl / f_ul``, rebuilt into a Hermitian Toeplitz
+    matrix, and repaired to positive definiteness.
 
     Requires ``f_dl <= f_ul`` so the dilated lags stay inside the sampled
     range.
@@ -125,9 +126,7 @@ def spline_convert(
     else:
         x = np.arange(n, dtype=np.float64)
         xi = x * (f_dl / f_ul)
-        spline_re = CubicSpline(x, lags.real, bc_type="natural")
-        spline_im = CubicSpline(x, lags.imag, bc_type="natural")
-        resampled = spline_re(xi) + 1j * spline_im(xi)
+        resampled = CubicSpline(x, lags, bc_type="natural")(xi)
 
     hermitian_toeplitz = toeplitz(np.conj(resampled), resampled)
     repaired, clipped = psd_projection(HermitianTangent(hermitian_toeplitz))

@@ -21,8 +21,6 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .spd import (
-    KARCHER_TOL,
-    BarycenterResult,
     Metric,
     SPDMatrix,
     SPDStack,
@@ -50,7 +48,6 @@ __all__ = [
 FLAG_DEGENERATE_BANDWIDTH = "degenerate-bandwidth"
 FLAG_FLAT_BANDWIDTH = "flat-bandwidth"
 FLAG_KARCHER_NONCONVERGED = "karcher-nonconverged"
-FLAG_KARCHER_FLOOR = "karcher-floor"
 
 _BANDWIDTH_SCAN_POINTS = 64
 # Kernel weights below 2^-52 of the largest are cut to zero; as a logit,
@@ -555,16 +552,9 @@ def estimate_downlink(
     Computes scheme weights from the uplink side (for the kernel scheme, at
     the bandwidth :func:`select_bandwidth` searches per query), then returns
     the weighted barycenter of the dictionary downlink matrices under the
-    same metric.  An affine-invariant barycenter is flagged
-    ``karcher-nonconverged`` when its Newton iteration stops at the cap or
-    stalls above ``KARCHER_FLOOR_TOL`` (see :func:`~covcast.spd.barycenter`), and
-    ``karcher-floor`` when it converged at the float64 noise floor, with a
-    residual between ``KARCHER_TOL`` and ``KARCHER_FLOOR_TOL``: below the
-    residual's rounding floor (the stop caps that floor at a tenth of
-    ``KARCHER_FLOOR_TOL``), or where a unit Newton step failed to halve it.
-    The Newton systems' Hessian leaves out the lightest points within a
-    bound that moves no step by more than conjugate gradients' own
-    tolerance, so it changes no flag's meaning.
+    same metric.  An affine-invariant barycenter that did not converge, by
+    the stop rule of :func:`~covcast.spd.barycenter`, is flagged
+    ``karcher-nonconverged``.
     """
     flags: tuple[str, ...] = ()
     if scheme.kind is SchemeKind.NEAREST_NEIGHBOR:
@@ -574,10 +564,7 @@ def estimate_downlink(
     else:
         _, weights, flags = select_bandwidth(dictionary, query, metric)
 
-    result: BarycenterResult = barycenter(metric, dictionary.downlinks, weights.w)
+    result = barycenter(metric, dictionary.downlinks, weights.w)
     if not result.converged:
         flags = flags + (FLAG_KARCHER_NONCONVERGED,)
-    elif result.residual >= KARCHER_TOL:
-        # converged at the float64 noise floor, below KARCHER_FLOOR_TOL
-        flags = flags + (FLAG_KARCHER_FLOOR,)
     return DownlinkEstimate(result.point, weights, flags)

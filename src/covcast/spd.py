@@ -47,13 +47,8 @@ __all__ = [
 HERMITIAN_ATOL = 1e-12
 
 # Stopping rule for the Karcher (affine-invariant barycenter) Newton
-# iteration: tangent-mean Frobenius norm (the residual) below KARCHER_TOL,
-# hard cap on iterations.  For badly conditioned inputs the residual bottoms
-# out above KARCHER_TOL at the float64 noise floor.  The iteration stops,
-# converged, once the residual is below its rounding floor, capped at
-# _FLOOR_STOP_CAP (see barycenter); and once it is below KARCHER_FLOOR_TOL,
-# a unit Newton step that fails to halve it ends the iteration at the
-# current iterate, accepted as the numerically attained mean.
+# iteration: a mean is converged unless the iteration hit its cap or stalled
+# above the float64 noise floor, by the rule barycenter's docstring states.
 KARCHER_TOL = 1e-10
 KARCHER_FLOOR_TOL = 1e-8
 KARCHER_MAX_ITER = 200
@@ -621,18 +616,12 @@ def log_maps(metric: Metric, x: SPDMatrix, points: SPDStack, idx) -> np.ndarray:
 class BarycenterResult:
     """Weighted barycenter plus convergence diagnostics.
 
-    ``converged`` is always True for the closed-form metrics.  For the
-    affine-invariant metric it is True when the Newton iteration drove the
-    residual (the Frobenius norm of the whitened tangent mean) below
-    ``KARCHER_TOL``, or stopped at the float64 noise floor: either the
-    residual fell below its rounding floor, capped at a tenth of
-    ``KARCHER_FLOOR_TOL`` (see :func:`barycenter`), or it was below
-    ``KARCHER_FLOOR_TOL`` and a unit Newton step failed to halve it, so
-    ``point`` and ``residual`` are the iterate before that step.  It is
-    False when ``KARCHER_MAX_ITER`` iterations pass without any of these, or
-    when the line search stalls above ``KARCHER_FLOOR_TOL``, halving the
-    step until it can no longer move the iterate; ``point`` is then the last
-    accepted iterate.
+    ``converged`` is False only for an affine-invariant mean whose Newton
+    iteration hit its cap or stalled above the float64 noise floor, by the
+    stop rule :func:`barycenter` states; ``point`` is then its last accepted
+    iterate.  ``residual`` is the Frobenius norm of the whitened tangent
+    mean at ``point``, and ``iterations`` counts the Newton trial steps;
+    both are 0 for a closed form.
     """
 
     point: SPDMatrix
@@ -792,17 +781,20 @@ def barycenter(
     ``1 - t/2`` (a unit step must halve it).  This sufficient decrease of
     the residual breaks the two-cycles a full Newton step can fall into far
     from the mean, and unlike the objective the residual is not swamped by
-    round-off near the mean.  The iteration stops, converged, when the
-    residual drops below ``KARCHER_TOL`` or below its rounding floor (next
-    paragraph); or, where that floor underestimates the rounding, when the
-    residual is below ``KARCHER_FLOOR_TOL`` and a unit step fails to halve
-    it, returning the iterate before that step as converged; or, when the
-    residual is above ``KARCHER_FLOOR_TOL``, once the halved step ``t V``
-    has ``||t V||_F < 2^-52``, so it can no longer move the iterate beyond
-    rounding, returning the iterate before that step as not converged (a
-    stall that would otherwise halve ``t`` until the cap); or after
-    ``KARCHER_MAX_ITER`` iterations (every trial step counts as one),
-    returning the last accepted iterate as not converged.
+    round-off near the mean.  The iteration ends at the first of these
+    exits, and ``converged`` says which kind it took:
+
+    - converged, once the residual drops below ``KARCHER_TOL`` or below its
+      rounding floor (next paragraph);
+    - converged, where that floor underestimates the rounding: the residual
+      is below ``KARCHER_FLOOR_TOL`` and a unit step fails to halve it; the
+      iterate before that step is returned;
+    - not converged, a stall: the residual is above ``KARCHER_FLOOR_TOL``
+      and the halved step ``t V`` has ``||t V||_F < 2^-52``, so it can no
+      longer move the iterate beyond rounding (it would otherwise halve
+      ``t`` until the cap); the iterate before that step is returned;
+    - not converged, after ``KARCHER_MAX_ITER`` iterations (every trial step
+      counts as one); the last accepted iterate is returned.
 
     **The rounding floor.**  Each log-eigenvalue ``mu_ij`` errs by about
     ``n eps cond_i``, ``cond_i = cond(X^{-1/2} R_i X^{-1/2}) =

@@ -1,6 +1,8 @@
 """Benchmark driver: pair/dictionary construction, the Monte-Carlo sweep,
 CSV emission, and aggregation."""
 
+import dataclasses
+import re
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -224,6 +226,26 @@ class TestRunBenchmark:
         assert [
             (r.estimator, r.metric, r.dict_size, r.trial, r.mse) for r in ref_records
         ] == [(r.estimator, r.metric, r.dict_size, r.trial, r.mse) for r in others]
+
+    def test_desk_sweep_emits_only_documented_flags(self):
+        # README's CSV schema lists every flag a sweep can write; a
+        # failed:<Error> flag is followed by at most its message.
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        listed = re.search(r"semicolon-joined diagnostics \(([^)]*)\)", readme)
+        documented = set(re.findall(r"`([^`]+)`", listed.group(1)))
+        assert documented == {
+            "karcher-nonconverged",
+            "psd-clipped",
+            "degenerate-bandwidth",
+            "flat-bandwidth",
+            "failed:<Error>",
+        }
+        config = dataclasses.replace(parse_config(CONFIG_DIR / "desk_ula.cfg"), n_queries=4)
+        for r in run_benchmark(config):
+            if r.failed:
+                assert r.flags[0].startswith("failed:") and len(r.flags) <= 2
+            else:
+                assert set(r.flags) <= documented - {"failed:<Error>"}, r
 
     def test_dictionary_redraws_multiply_trials(self):
         config = tiny_config(n_dictionary_redraws=2)
