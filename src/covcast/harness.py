@@ -18,6 +18,7 @@ sort-normalized.
 
 from __future__ import annotations
 
+import copy
 import csv
 import time
 from collections import deque
@@ -263,29 +264,34 @@ def _run_baseline(baseline: BaselineKind, config: ScenarioConfig, case: QueryCas
     return perfect_feedback(case.truth_dl, config.n_realizations, rng), ()
 
 
-def _estimator_calls(config: ScenarioConfig, dictionary: Dictionary, case: QueryCase):
-    """Every configured scheme, then every baseline, on one query.
+def _estimator_calls(config: ScenarioConfig, dictionary: Dictionary):
+    """Every configured scheme, then every baseline.
 
-    Yields ``(estimator, metric, call)``; ``call()`` returns the estimate and
-    its flags.  The calls look up ``estimate_downlink`` and the baselines in
-    this module when they run, so a wrapper set on those module attributes
-    sees every call.
+    Yields ``(estimator, metric, call)``; ``call(case)`` returns the estimate
+    of ``case``'s query and its flags.  The calls look up
+    ``estimate_downlink`` and the baselines in this module when they run, so
+    a wrapper set on those module attributes sees every call.
     """
     for scheme, metric in config.schemes:
-        yield scheme.label, metric.label, partial(_run_scheme, scheme, metric, dictionary, case)
+        yield scheme.label, metric.label, partial(_run_scheme, scheme, metric, dictionary)
     for baseline in config.baselines:
-        yield baseline.value, "", partial(_run_baseline, baseline, config, case)
+        yield baseline.value, "", partial(_run_baseline, baseline, config)
 
 
 def _run_estimators(
     config: ScenarioConfig, dictionary: Dictionary, case: QueryCase
 ) -> list[ResultRecord]:
-    """Run every configured scheme and baseline on one query."""
+    """Run every configured scheme and baseline on one query.
+
+    The schemes share the query's geometry (see
+    :func:`~covcast.interp.estimate_downlink`), so a record's ``runtime_ns``
+    includes the shared work of the first scheme that needs it.
+    """
     records: list[ResultRecord] = []
-    for estimator, metric, call in _estimator_calls(config, dictionary, case):
+    for estimator, metric, call in _estimator_calls(config, dictionary):
         start = time.perf_counter_ns()
         try:
-            estimate, flags = call()
+            estimate, flags = call(case)
             mse = _mse_to_truth(case.truth_dl, estimate)
         except Exception as exc:  # noqa: BLE001 - failure isolation by contract
             mse, flags = None, _failure_flags(exc)
@@ -515,7 +521,11 @@ def timing_bench(
 
     Uses the first configured dictionary size, as :func:`run_benchmark`
     draws it for redraw 0, and the query of trial 0; each estimator is
-    invoked ``n_warmup`` untimed plus ``n_calls`` timed times.
+    invoked ``n_warmup`` untimed plus ``n_calls`` timed times.  Every call
+    gets its own copy of the query, made outside the timer, so no call
+    reads the geometry an earlier call left (see
+    :func:`~covcast.interp.estimate_downlink`): each times the estimator's
+    whole per-query cost.
     """
     if n_calls < 1:
         raise ValueError("n_calls must be >= 1")
@@ -524,14 +534,18 @@ def timing_bench(
     dictionary = build_dictionary(config, dict_size, _dictionary_rng(config, 0), geometry)
     case = _build_case(config, geometry, dict_size, 0)
 
+    def fresh() -> QueryCase:
+        return replace(case, query_ul=copy.copy(case.query_ul))
+
     stats = []
-    for estimator, metric, fn in _estimator_calls(config, dictionary, case):
+    for estimator, metric, fn in _estimator_calls(config, dictionary):
         for _ in range(n_warmup):
-            fn()
+            fn(fresh())
         times = []
         for _ in range(n_calls):
+            own = fresh()
             start = time.perf_counter_ns()
-            fn()
+            fn(own)
             times.append(time.perf_counter_ns() - start)
         stats.append(
             TimingStat(estimator, metric, n_calls, median(times), mean(times))

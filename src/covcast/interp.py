@@ -24,11 +24,14 @@ from .spd import (
     Metric,
     SPDMatrix,
     SPDStack,
+    _ai_distances,
+    _check_same_dim,
     _check_weights,
+    _invsqrtm,
     _norms,
+    _pruned_nearest,
+    _whitened_logs,
     barycenter,
-    log_maps,
-    nearest,
 )
 
 __all__ = [
@@ -181,15 +184,140 @@ class DownlinkEstimate:
     flags: tuple[str, ...]
 
 
+class _QueryGeometry:
+    """What the weight schemes read of one query ``X`` against one
+    dictionary's uplinks ``P_k``, each part computed on first use:
+
+    - the query's one eigendecomposition, for ``X^{-1/2}`` and ``log X``;
+    - the Euclidean and log-Euclidean tangents ``P_k - X`` and
+      ``log P_k - log X`` to every uplink, and their norms: those metrics'
+      distances, and the bounds of the affine-invariant nearest-entry search;
+    - the affine-invariant distances and whitened tangents
+      ``log(X^{-1/2} P_k X^{-1/2})``, row by row as the schemes ask for
+      them, and the tangents' norms once every row is filled.
+
+    Every value is bitwise what :mod:`covcast.spd` computes for the same
+    entries alone (:func:`~covcast.spd.log_maps`,
+    :func:`~covcast.spd.distances`, :func:`~covcast.spd.nearest`): stacked
+    ``eigh``, ``eigvalsh`` and ``matmul`` treat each row as they treat a lone
+    matrix, and ``log X`` from the shared decomposition is bitwise
+    ``spd._logm``'s.  So no weight depends on which scheme asked first.
+    """
+
+    __slots__ = ("dictionary", "query", "_roots", "_tangents", "_norms", "_pending", "_ai")
+
+    def __init__(self, dictionary: Dictionary, query: SPDMatrix) -> None:
+        _check_same_dim(dictionary.uplinks, query, "weights")
+        self.dictionary = dictionary
+        self.query = query
+        self._roots: tuple[np.ndarray, np.ndarray] | None = None
+        self._tangents: dict[Metric, np.ndarray] = {}
+        self._norms: dict[Metric, np.ndarray] = {}
+        self._pending: np.ndarray | None = None  # whitened rows not yet computed
+        self._ai: np.ndarray | None = None  # affine-invariant distances, nan until computed
+
+    def roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(X^{-1/2}, log X)``, from one eigendecomposition."""
+        if self._roots is None:
+            self._roots = _invsqrtm(self.query.mat, np.log)
+        return self._roots
+
+    def tangents(self, metric: Metric, idx: np.ndarray | None = None) -> np.ndarray:
+        """The tangents reaching the uplinks at ``idx``, as
+        :func:`~covcast.spd.log_maps` returns them; by default every uplink's,
+        in the shared array, which the caller must not write."""
+        if metric is Metric.AFFINE_INVARIANT:
+            tangents = self._whitened(np.arange(len(self.dictionary)) if idx is None else idx)
+        else:
+            if metric not in self._tangents:
+                uplinks = self.dictionary.uplinks
+                self._tangents[metric] = (
+                    uplinks.mats - self.query.mat
+                    if metric is Metric.EUCLIDEAN
+                    else uplinks.logs - self.roots()[1]
+                )
+            tangents = self._tangents[metric]
+        return tangents if idx is None else tangents[idx]
+
+    def _whitened(self, idx: np.ndarray) -> np.ndarray:
+        """The whitened tangents, with at least the rows at ``idx`` filled."""
+        if self._pending is None:
+            k, n = len(self.dictionary), self.query.dim
+            self._tangents[Metric.AFFINE_INVARIANT] = np.empty((k, n, n), dtype=np.complex128)
+            self._pending = np.ones(k, dtype=bool)
+        tangents = self._tangents[Metric.AFFINE_INVARIANT]
+        missing = idx[self._pending[idx]]
+        if missing.size:
+            tangents[missing] = _whitened_logs(
+                self.roots()[0], self.dictionary.uplinks.mats[missing]
+            )
+            self._pending[missing] = False
+        return tangents
+
+    def norms(self, metric: Metric) -> np.ndarray:
+        """The Frobenius norm of every tangent: the metric's distances, for
+        the affine-invariant metric in tangent-norm form."""
+        if metric not in self._norms:
+            self._norms[metric] = _norms(self.tangents(metric))
+        return self._norms[metric]
+
+    def _ai_distances_at(self, idx: np.ndarray) -> np.ndarray:
+        """The affine-invariant distances to the uplinks at ``idx``, in the
+        eigenvalue form of :func:`~covcast.spd.distances`."""
+        if self._ai is None:
+            self._ai = np.full(len(self.dictionary), np.nan)
+        missing = idx[np.isnan(self._ai[idx])]
+        if missing.size:
+            self._ai[missing] = _ai_distances(
+                self.roots()[0], self.dictionary.uplinks.mats[missing]
+            )
+        return self._ai[idx]
+
+    def nearest(self, metric: Metric, k: int) -> np.ndarray:
+        """The indices :func:`~covcast.spd.nearest` returns for the ``k``
+        uplinks nearest the query; its affine-invariant search takes the
+        log-Euclidean norms as its bounds."""
+        everything = np.arange(len(self.dictionary))
+        if metric is not Metric.AFFINE_INVARIANT:
+            d = self.norms(metric)
+        elif k < everything.size:
+            return _pruned_nearest(self.norms(Metric.LOG_EUCLIDEAN), self._ai_distances_at, k)[0]
+        else:
+            d = self._ai_distances_at(everything)
+        return np.argsort(d, kind="stable")[:k]
+
+
+# The geometry the weight functions read last (see _geometry).
+_LAST_GEOMETRY: _QueryGeometry | None = None
+
+
+def _geometry(dictionary: Dictionary, query: SPDMatrix) -> _QueryGeometry:
+    """The geometry of ``query`` against ``dictionary``, shared by the weight
+    functions called on them one after another.
+
+    A one-entry memo: it holds the last dictionary and query by strong
+    reference and matches both by identity.  So the estimators of one query
+    share its geometry, the next query or dictionary replaces it, and no
+    value reaches another query, not even one that reuses a dead query's
+    ``id()``.
+    """
+    global _LAST_GEOMETRY
+    geometry = _LAST_GEOMETRY
+    if geometry is None or geometry.dictionary is not dictionary or geometry.query is not query:
+        geometry = _LAST_GEOMETRY = _QueryGeometry(dictionary, query)
+    return geometry
+
+
 def nearest_neighbor_weights(
     dictionary: Dictionary, query: SPDMatrix, metric: Metric
 ) -> WeightVector:
     """One-hot weights at the dictionary uplink closest to the query.
 
-    Ties are broken toward the lowest index.
+    Ties are broken toward the lowest index.  The distances are those of
+    :func:`~covcast.spd.nearest`, read from the query's shared geometry.
     """
     w = np.zeros(len(dictionary))
-    w[nearest(metric, dictionary.uplinks, query, 1)[0]] = 1.0
+    w[_geometry(dictionary, query).nearest(metric, 1)] = 1.0
     return WeightVector(w)
 
 
@@ -249,8 +377,8 @@ def mirror_weights(
     dictionary uplinks.
 
     The ``k_s = min(n_ul^2, K)`` uplink entries closest to the query are
-    selected (by :func:`~covcast.spd.nearest`, ties toward the lowest
-    index); the weights minimize, over the simplex, the norm of the
+    selected (as :func:`~covcast.spd.nearest` selects them, ties toward the
+    lowest index, from the query's shared geometry); the weights minimize, over the simplex, the norm of the
     weighted sum of the tangents from the query to those entries, in the
     metric's own norm at the query: :func:`~covcast.spd.log_maps` returns
     them in coordinates where that norm is Frobenius (for the
@@ -260,11 +388,12 @@ def mirror_weights(
     with the Gram matrix of the tangents' Frobenius inner products.
     Entries outside the selected set receive weight zero.
     """
+    geometry = _geometry(dictionary, query)
     k = len(dictionary)
     k_s = min(dictionary.uplinks.dim**2, k)
-    selected = nearest(metric, dictionary.uplinks, query, k_s)[0]
+    selected = geometry.nearest(metric, k_s)
 
-    tangents = log_maps(metric, query, dictionary.uplinks, selected)
+    tangents = geometry.tangents(metric, selected)
     w_sel = solve_simplex_qp(_tangent_rows(tangents, np.arange(k_s), 1.0).T).w
 
     w = np.zeros(k)
@@ -347,9 +476,10 @@ def select_bandwidth(
     norm is the metric's own at the query (for the affine-invariant metric
     ``||X^{-1/2} V X^{-1/2}||_F``, so ``sigma`` is invariant under
     congruence).  The distances ``d_k`` are the Frobenius norms of those
-    same tangents, the metric's distances by construction, so one
-    ``log_maps`` call (for the affine-invariant metric, one stacked
-    eigendecomposition) serves the whole query.  The search runs on
+    same tangents, the metric's distances by construction, so the tangents
+    of the query's shared geometry serve the whole query (for the
+    affine-invariant metric, one eigendecomposition per whitened uplink,
+    shared with mirror's).  The search runs on
     ``log sigma`` over ``[ln(d_min/10), ln(10 d_max)]`` (``d_min``/``d_max``
     the smallest nonzero and largest distances): a 64-point scan over every
     entry locates the best bracket ``[a, b]``, two of its intervals (one at
@@ -444,8 +574,9 @@ def select_bandwidth(
     (sigma, weights, flags)
     """
     k = len(dictionary)
-    tangents = log_maps(metric, query, dictionary.uplinks, np.arange(k))
-    d = _norms(tangents)
+    geometry = _geometry(dictionary, query)
+    tangents = geometry.tangents(metric)
+    d = geometry.norms(metric)
     order = np.argsort(d, kind="stable")
     # The search runs in units of a power of two between the smallest
     # nonzero and the largest distance: scaling by it is exact, so its
@@ -555,6 +686,13 @@ def estimate_downlink(
     same metric.  An affine-invariant barycenter that did not converge, by
     the stop rule of :func:`~covcast.spd.barycenter`, is flagged
     ``karcher-nonconverged``.
+
+    The weight functions read the query's geometry (:func:`_geometry`):
+    estimates called one after another on the same ``dictionary`` and
+    ``query`` objects share the query's decomposition and its tangents and
+    distances to the uplinks, and the first estimate that needs a value
+    pays for it.  Each value is bitwise what the estimate would compute
+    alone, so no estimate depends on the order they run in.
     """
     flags: tuple[str, ...] = ()
     if scheme.kind is SchemeKind.NEAREST_NEIGHBOR:

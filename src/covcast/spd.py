@@ -260,6 +260,26 @@ def _hermitian_congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _herm(a @ x @ _ct(a))
 
 
+def _whitened_eigh(isq: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-eigenvalues ``mu`` and eigenvectors ``u`` of ``X^{-1/2} P X^{-1/2}``
+    for each matrix ``P`` of the stack ``mats``, given ``isq = X^{-1/2}``.
+
+    The congruence is exactly Hermitian already, so ``eigh`` reads it as it
+    is: symmetrizing an exactly Hermitian array again returns its bits.
+    """
+    e, u = np.linalg.eigh(_hermitian_congruence(isq, mats))
+    _check_positive(e, "matrix logarithm undefined")
+    return np.log(e), u
+
+
+def _whitened_logs(isq: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``log(X^{-1/2} P X^{-1/2})`` for each matrix ``P`` of ``mats``: the
+    affine-invariant tangents at ``X`` in whitened coordinates, bitwise
+    :func:`_logm` of the congruence."""
+    mu, u = _whitened_eigh(isq, mats)
+    return _spectral(u, mu)
+
+
 def _norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a complex stack, at any scale.
 
@@ -548,7 +568,10 @@ def nearest(
     An entry left out has ``l > u + NEAREST_SLACK``, so its affine-invariant
     distance exceeds ``u`` and it cannot displace any of the ``k`` nearest,
     not even on a tie.  Every computed distance is bitwise what
-    :func:`distances` returns for it, so the result is exact.
+    :func:`distances` returns for it, so the result is exact.  Steps 2 and 3
+    are :func:`_pruned_nearest`, which a caller already holding ``X^{-1/2}``
+    and the distances ``l`` (``covcast.interp``'s query geometry) calls
+    directly.
 
     ``NEAREST_SLACK`` absorbs the rounding of the two computed distances,
     which can invert the bound where it is tight (commuting points, whose
@@ -573,13 +596,22 @@ def nearest(
         return idx, d[idx]
     _check_same_dim(points, x, "nearest")
     isq, log_x = _invsqrtm(x.mat, np.log)
-    lower = _norms(points.logs - log_x)
+    return _pruned_nearest(
+        _norms(points.logs - log_x), lambda idx: _ai_distances(isq, points.mats[idx]), k
+    )
+
+
+def _pruned_nearest(lower: np.ndarray, distances_at, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 2 and 3 of :func:`nearest`'s affine-invariant search, given the
+    log-Euclidean distances ``lower`` and ``distances_at(idx)``, the
+    affine-invariant distances of the entries at ``idx``; ``k`` must be
+    smaller than the stack."""
     first = np.argsort(lower, kind="stable")[:k]
-    d = np.full(len(points), np.inf)
-    d[first] = _ai_distances(isq, points.mats[first])
+    d = np.full(lower.size, np.inf)
+    d[first] = distances_at(first)
     rest = np.flatnonzero((lower <= d[first].max() + NEAREST_SLACK) & np.isinf(d))
     if rest.size:
-        d[rest] = _ai_distances(isq, points.mats[rest])
+        d[rest] = distances_at(rest)
     # entries never computed stay at +inf, behind the k computed ones
     idx = np.argsort(d, kind="stable")[:k]
     return idx, d[idx]
@@ -605,7 +637,7 @@ def log_maps(metric: Metric, x: SPDMatrix, points: SPDStack, idx) -> np.ndarray:
         tangents = points.logs[idx]
         tangents -= _logm(x.mat)
         return tangents
-    return _logm(_hermitian_congruence(_invsqrtm(x.mat)[0], points.mats[idx]))
+    return _whitened_logs(_invsqrtm(x.mat)[0], points.mats[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +689,12 @@ class _KarcherIterate:
     def __init__(self, x: np.ndarray, mats: np.ndarray, w: np.ndarray) -> None:
         self.x = x
         isq, self.sq = _invsqrtm(x, np.sqrt)
-        e, self.u = _eigh_sym(_hermitian_congruence(isq, mats))
-        _check_positive(e, "matrix logarithm undefined")
-        self.mu = np.log(e)
-        self.tangent = np.zeros(x.shape, dtype=np.complex128)
-        # summed in point order, as a per-point loop would
-        for wi, log_i in zip(w, _spectral(self.u, self.mu)):
-            self.tangent += wi * log_i
+        self.mu, self.u = _whitened_eigh(isq, mats)
+        # one reduction over the point axis adds in point order, as a
+        # per-point loop from zero would
+        self.tangent = np.add.reduce(
+            w[:, None, None] * _spectral(self.u, self.mu), axis=0, initial=0.0
+        )
         self.residual = float(_norms(self.tangent[None])[0])
         with np.errstate(over="ignore"):  # an infinite floor is capped
             cond = np.exp(self.mu[:, -1] - self.mu[:, 0])

@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 import covcast.harness as harness
+import covcast.interp as interp
 from covcast.baselines import BaselineKind
 from covcast.channel import ArrayKind, PropagationParams, model_covariance
 from covcast.config import ScenarioConfig, parse_config
@@ -532,6 +533,26 @@ class TestEstimatorTable:
 
 
 class TestTimingBench:
+    def test_every_call_builds_a_fresh_geometry(self, monkeypatch):
+        # Each call gets its own copy of the query, so it times the
+        # estimator's whole per-query cost, not the geometry an earlier call
+        # on the same query left behind.
+        config = tiny_config()
+        built = []
+        real = interp._QueryGeometry
+
+        class Recorded(real):
+            __slots__ = ()
+
+            def __init__(self, dictionary, query):
+                built.append(query)
+                super().__init__(dictionary, query)
+
+        monkeypatch.setattr(interp, "_QueryGeometry", Recorded)
+        timing_bench(config, n_calls=4, n_warmup=2)
+        assert len(built) == len(config.schemes) * (4 + 2)
+        assert len({id(q) for q in built}) == len(built)
+
     def test_positive_times_and_call_counts(self):
         config = tiny_config()
         stats_list = timing_bench(config, n_calls=5, n_warmup=1)

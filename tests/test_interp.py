@@ -1,5 +1,6 @@
 """Weight-selection schemes and the dictionary estimator."""
 
+import copy
 import functools
 import pickle
 import warnings
@@ -42,12 +43,10 @@ from covcast.spd import (
     KARCHER_TOL,
     Metric,
     SPDMatrix,
-    SPDStack,
     barycenter,
     distance,
     distances,
     log_map,
-    log_maps,
     nearest,
     whitened_log_map,
 )
@@ -729,20 +728,29 @@ class TestEstimateDownlink:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_kernel_estimate_computes_distances_once(self, metric, monkeypatch):
-        # The kernel's distances are its tangents' norms: one log_maps call
-        # per query, one stacked decomposition (the affine-invariant
-        # logarithm of the whitened uplinks; the log-Euclidean logs are the
-        # dictionary's, fitted once), no distances pass.
+        # The kernel's distances are its tangents' norms, from the query's
+        # shared geometry: at most one query decomposition and one stacked
+        # decomposition (the affine-invariant logarithm of the whitened
+        # uplinks; the log-Euclidean logs are the dictionary's, fitted once),
+        # no distances pass.  The estimate that follows on the same query
+        # reads them again instead of recomputing them.
         rng = np.random.default_rng(24)
         d = make_dictionary(rng, 4)
         q = random_spd(rng, 3)
         d.uplinks.logs  # fit the dictionary first
-        log_map_calls, stacked = [], []
+        calls, stacked = [], []
 
-        def counting(*args):
-            log_map_calls.append(args)
-            return log_maps(*args)
+        def counting(name):
+            real = getattr(interp, name)
 
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(interp, name, counted)
+
+        for name in ("_invsqrtm", "_whitened_logs", "_ai_distances"):
+            counting(name)
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
 
@@ -752,12 +760,16 @@ class TestEstimateDownlink:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
-        monkeypatch.setattr(interp, "log_maps", counting)
         _, w, _ = select_bandwidth(d, q, metric)
-        assert len(log_map_calls) == 1
+        expected = {
+            Metric.EUCLIDEAN: [],
+            Metric.LOG_EUCLIDEAN: ["_invsqrtm"],
+            Metric.AFFINE_INVARIANT: ["_invsqrtm", "_whitened_logs"],
+        }[metric]
+        assert calls == expected
         assert stacked == ([(4, 3, 3)] if metric is Metric.AFFINE_INVARIANT else [])
         est = estimate_downlink(d, q, Scheme.kernel(), metric)
-        assert len(log_map_calls) == 2
+        assert calls == expected
         assert np.array_equal(est.weights.w, w.w)
 
     @given(seeds, st.sampled_from(METRICS))
@@ -971,20 +983,24 @@ SCHEMES = [Scheme.nearest_neighbor(), Scheme.mirror(), Scheme.kernel()]
 
 # The stacked functions as they are before any test replaces them: the
 # per-entry paths below call them on one row at a time.
-REAL_DISTANCES = spd.distances
+REAL_NORMS = spd._norms
 REAL_AI_DISTANCES = spd._ai_distances
 
 
-def per_entry_distances(metric, points, x):
-    return np.concatenate([REAL_DISTANCES(metric, SPDStack([p]), x) for p in points])
+def per_entry_norms(a):
+    return np.concatenate([REAL_NORMS(a[j : j + 1]) for j in range(len(a))])
 
 
 def per_entry_ai_distances(isq, mats):
     return np.concatenate([REAL_AI_DISTANCES(isq, mats[j : j + 1]) for j in range(len(mats))])
 
 
-def per_entry_log_maps(metric, x, points, idx):
-    return np.stack([whitened_log_map(metric, x, points[int(i)]).mat for i in idx])
+def per_entry_tangents(geometry, metric, idx=None):
+    """:meth:`interp._QueryGeometry.tangents` from one whitened_log_map call
+    per entry, each decomposing the query afresh."""
+    uplinks = geometry.dictionary.uplinks
+    idx = range(len(uplinks)) if idx is None else idx
+    return np.stack([whitened_log_map(metric, geometry.query, uplinks[int(i)]).mat for i in idx])
 
 
 def same_estimate(a, b) -> bool:
@@ -1017,17 +1033,17 @@ class TestFittedDictionary:
     def test_estimates_equal_per_entry_path(self, metric, k, monkeypatch):
         # Distances (those the nearest-entry search of nearest neighbor and
         # mirror takes, its affine-invariant step included) computed one row
-        # at a time, and the mirror and kernel tangents (whose norms are the
-        # kernel's distances) recomputed entry by entry with
-        # whitened_log_map, must give the same weights, flags and estimates,
-        # bit for bit.
+        # at a time, and the tangents of the query's geometry (whose norms
+        # are the flat metrics' and the kernel's distances) recomputed entry
+        # by entry with whitened_log_map, must give the same weights, flags
+        # and estimates, bit for bit.
         rng = np.random.default_rng(50 + k)
         d = make_dictionary(rng, k)
         q = random_spd(rng, 3)
         stacked = [estimate_downlink(d, q, s, metric) for s in SCHEMES]
-        monkeypatch.setattr(spd, "distances", per_entry_distances)
-        monkeypatch.setattr(spd, "_ai_distances", per_entry_ai_distances)
-        monkeypatch.setattr(interp, "log_maps", per_entry_log_maps)
+        monkeypatch.setattr(interp, "_norms", per_entry_norms)
+        monkeypatch.setattr(interp, "_ai_distances", per_entry_ai_distances)
+        monkeypatch.setattr(interp._QueryGeometry, "tangents", per_entry_tangents)
         fresh = make_dictionary(np.random.default_rng(50 + k), k)
         for scheme, est in zip(SCHEMES, stacked):
             assert same_estimate(est, estimate_downlink(fresh, q, scheme, metric))
@@ -1099,3 +1115,117 @@ class TestDictionaryWorkIsNotRedone:
             count[0] = 0
         # the query's own logs and the outputs' gates, not a sweep over K
         assert per_k[0] == per_k[1]
+
+
+# ---------------------------------------------------------------------------
+# One geometry per query, shared by the schemes
+
+WEIGHT_FUNCTIONS = {
+    SchemeKind.NEAREST_NEIGHBOR: nearest_neighbor_weights,
+    SchemeKind.MIRROR: mirror_weights,
+    SchemeKind.KERNEL: select_bandwidth,
+}
+
+
+def weight_bits(scheme, metric, d, q):
+    """The scheme's weight function on ``(d, q)``, as comparable bits (the
+    kernel's bandwidth and flags included)."""
+    result = WEIGHT_FUNCTIONS[scheme.kind](d, q, metric)
+    if scheme.kind is SchemeKind.KERNEL:
+        sigma, w, flags = result
+        return sigma.hex(), w.w.tobytes(), flags
+    return result.w.tobytes()
+
+
+def fresh_copy(q: SPDMatrix) -> SPDMatrix:
+    """Another query object with the same array, so no geometry matches it."""
+    return copy.copy(q)
+
+
+def count_stacked_rows(monkeypatch) -> dict[str, list[int]]:
+    """Rows of every stacked eigh/eigvalsh call, and 0 for a lone matrix."""
+    rows = {"eigh": [], "eigvalsh": []}
+    for name in rows:
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _rows=rows[name], **kwargs):
+            _rows.append(a.shape[0] if np.ndim(a) == 3 else 0)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return rows
+
+
+class TestSharedGeometry:
+    @pytest.mark.parametrize("config_name", ["desk_ula.cfg", "paper_scale.cfg"])
+    def test_weights_do_not_depend_on_scheme_order(self, config_name, desk_ula_case):
+        # Each weight function gives the same bits alone (on a query object
+        # of its own) as after the config's other schemes on the same
+        # (dictionary, query), in the config's order and in reverse.
+        config = parse_config(CONFIG_DIR / config_name)
+        if config_name == "desk_ula.cfg":
+            d, queries = desk_ula_case[0], [desk_ula_case[1]]
+        else:
+            d, queries = paper_scale_case(500, range(2))
+        schemes = list(config.schemes)
+        for q in queries:
+            alone = {case: weight_bits(*case, d, fresh_copy(q)) for case in schemes}
+            for order in (schemes, schemes[::-1]):
+                shared = fresh_copy(q)
+                for case in order:
+                    assert weight_bits(*case, d, shared) == alone[case], case
+
+    def test_geometry_never_serves_another_query_or_dictionary(self):
+        rng = np.random.default_rng(90)
+        dictionaries = [make_dictionary(rng, 12) for _ in range(2)]
+        values = [random_spd(rng, 3).mat for _ in range(2)]
+        cases = [(s, m) for s in SCHEMES for m in METRICS]
+        # Every (dictionary, value) answered on a query object of its own,
+        # all held at once, so no two share an object or an id().
+        held = {(i, j): SPDMatrix(values[j]) for i in range(2) for j in range(2)}
+        expected = {
+            (i, j): [weight_bits(*case, dictionaries[i], q) for case in cases]
+            for (i, j), q in held.items()
+        }
+        assert expected[0, 0] != expected[0, 1] and expected[0, 0] != expected[1, 0]
+        del held
+
+        queries = [SPDMatrix(v) for v in values]
+        for c, case in enumerate(cases):
+            for j, q in enumerate(queries):  # two queries, interleaved
+                assert weight_bits(*case, dictionaries[0], q) == expected[0, j][c]
+            for i, d in enumerate(dictionaries):  # one query, two dictionaries
+                assert weight_bits(*case, d, queries[0]) == expected[i, 0][c]
+        del queries
+
+        # Queries re-created in a loop until a dead query's id() has come
+        # back twice (a few iterations; more under a debug allocator).
+        seen, recurred = set(), 0
+        for r in range(400):
+            q = SPDMatrix(values[r % 2])
+            recurred += id(q) in seen
+            seen.add(id(q))
+            assert [weight_bits(*case, dictionaries[0], q) for case in cases] == expected[0, r % 2]
+            del q
+            if recurred == 2:
+                break
+        assert recurred == 2
+
+    @pytest.mark.parametrize("config_name", ["desk_ula.cfg", "paper_scale.cfg"])
+    def test_whitened_uplinks_are_decomposed_once(self, config_name, desk_ula_case, monkeypatch):
+        # One affine-invariant query's nearest-neighbor, mirror and kernel
+        # weights: one decomposition of the query, and each whitened uplink
+        # decomposed (eigh, for mirror's and the kernel's tangents) and its
+        # distance taken (eigvalsh, for the nearest-entry search) at most
+        # once.
+        if config_name == "desk_ula.cfg":
+            d, q = desk_ula_case
+        else:
+            d, (q,) = paper_scale_case(500, [0])
+        q = fresh_copy(q)
+        rows = count_stacked_rows(monkeypatch)
+        for scheme in SCHEMES:
+            WEIGHT_FUNCTIONS[scheme.kind](d, q, Metric.AFFINE_INVARIANT)
+        assert rows["eigh"].count(0) == 1 and rows["eigvalsh"].count(0) == 0
+        assert sum(rows["eigh"]) == len(d)  # the kernel reads every tangent
+        assert sum(rows["eigvalsh"]) <= len(d)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covcast.interp as interp
 import covcast.spd as spd
 from covcast.config import parse_config
 from covcast.harness import (
@@ -167,6 +168,11 @@ def test_committed_config_queries(config_cases, name, metric):
     dictionary, queries = config_cases[name]
     for query in queries:
         assert mismatches(metric, dictionary.uplinks, query) == []
+        # and the weight schemes' search, from the query's shared geometry
+        geometry = interp._QueryGeometry(dictionary, query)
+        for k in search_sizes(dictionary.uplinks):
+            idx, _ = nearest(metric, dictionary.uplinks, query, k)
+            assert np.array_equal(geometry.nearest(metric, k), idx)
 
 
 @pytest.mark.parametrize("scheme, limit", [
