@@ -307,27 +307,31 @@ def _run_estimators(
 def _build_case(
     config: ScenarioConfig, geometry: ArrayGeometry, dict_size: int, trial: int
 ) -> QueryCase:
-    """Trial ``trial``'s query, the same bits at every K.  Each task draws it
-    afresh, so no task depends on what another left behind."""
+    """Trial ``trial``'s query, the same bits at every K.  It is drawn
+    afresh for each K, so every (K, trial) record answers a query object of
+    its own, and no task depends on what another left behind.  The schemes
+    still share the query's geometry across K through its bits (see
+    :func:`~covcast.interp.estimate_downlink`)."""
     query_ul, _, truth_dl = build_pair(config, geometry, _query_rng(config, trial))
     return QueryCase(dict_size, trial, query_ul, truth_dl)
 
 
-# The sweep this process serves: (config, geometry, dictionaries).  Pool
-# workers receive it once through the pool initializer, inherited rather than
-# pickled under the fork start method, so a task is only (dictionary index,
-# trial).
+# The sweep this process serves: (config, geometry, dictionaries), the
+# dictionaries one tuple per redraw, in ascending K.  Pool workers receive it
+# once through the pool initializer, inherited rather than pickled under the
+# fork start method, so a task is only (redraw, trial).
 _SWEEP: tuple | None = None
 
 
 def _fit_stacks(dictionaries) -> None:
-    """Fit both sides' stacked matrices and logarithms of every dictionary,
-    so the records time the estimators alone.  A dictionary's stacks reuse
-    the rows of the smaller dictionary they extend, so each redraw fits its
-    largest size's rows once per side."""
-    for dictionary in dictionaries:
-        for stack in (dictionary.uplinks, dictionary.downlinks):
-            stack.logs  # its logarithms are fitted from its matrices
+    """Fit both sides' stacked matrices and logarithms of every redraw's
+    dictionaries, so the records time the estimators alone.  A dictionary's
+    stacks reuse the rows of the smaller dictionary they extend, so each
+    redraw fits its largest size's rows once per side."""
+    for nested in dictionaries:
+        for dictionary in nested:
+            for stack in (dictionary.uplinks, dictionary.downlinks):
+                stack.logs  # its logarithms are fitted from its matrices
 
 
 def _init_sweep(config: ScenarioConfig, geometry: ArrayGeometry, dictionaries) -> None:
@@ -339,11 +343,22 @@ def _init_sweep(config: ScenarioConfig, geometry: ArrayGeometry, dictionaries) -
 
 
 def _run_trial(task: tuple[int, int], sweep: tuple | None = None) -> list[ResultRecord]:
+    """Every record of trial ``trial``, a query of redraw ``redraw``, at every
+    K: ``task`` is ``(redraw, trial)``.
+
+    Walks the redraw's nested dictionaries in ascending K, answering the
+    trial's query, drawn afresh for each K (:func:`_build_case`), with every
+    estimator.  Each K's schemes start from the geometry the next smaller K
+    left (see :func:`~covcast.interp._geometry`), so each computes the
+    query's tangents and distances only to the uplinks its K adds.
+    """
     config, geometry, dictionaries = sweep or _SWEEP
-    index, trial = task
-    dictionary = dictionaries[index]
-    case = _build_case(config, geometry, len(dictionary), trial)
-    return _run_estimators(config, dictionary, case)
+    redraw, trial = task
+    records = []
+    for dictionary in dictionaries[redraw]:
+        case = _build_case(config, geometry, len(dictionary), trial)
+        records.extend(_run_estimators(config, dictionary, case))
+    return records
 
 
 def run_benchmark(config: ScenarioConfig, n_workers: int = 1) -> list[ResultRecord]:
@@ -357,30 +372,32 @@ def run_benchmark(config: ScenarioConfig, n_workers: int = 1) -> list[ResultReco
     ascending order, each extending the next smaller one, so every pair is
     drawn once per redraw.  Every dictionary's stacks are fitted before the
     first query, once per worker process, so a record's ``runtime_ns`` times
-    its estimator alone.  Estimator exceptions are caught and recorded as
-    failed records; they never abort the sweep.  Output is deterministic for
-    a fixed config, independent of ``n_workers``.
+    its estimator alone.
+
+    A task is one trial of one redraw at every K (:func:`_run_trial`), so
+    the trial's query geometry serves its nested dictionaries in ascending
+    K, and a record's ``runtime_ns`` includes the geometry rows its K is the
+    first to compute in its trial.  Estimator exceptions are caught and
+    recorded as failed records; they never abort the sweep.  Output is
+    deterministic for a fixed config, independent of ``n_workers``.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     geometry = make_geometry(config)
     redraws = range(config.n_dictionary_redraws)
     rngs = [_dictionary_rng(config, redraw) for redraw in redraws]
-    largest: list[Dictionary | None] = [None for _ in redraws]  # built so far
-    built: dict[tuple[int, int], Dictionary] = {}
+    nested: list[list[Dictionary]] = [[] for _ in redraws]  # ascending K
     for dict_size in sorted(config.dict_sizes):
-        for redraw in redraws:
-            largest[redraw] = built[dict_size, redraw] = build_dictionary(
-                config, dict_size, rngs[redraw], geometry, prefix=largest[redraw]
-            )
-    dictionaries = []
-    tasks = []
-    for dict_size in config.dict_sizes:
-        for redraw in redraws:
-            dictionaries.append(built[dict_size, redraw])
-            for query in range(config.n_queries):
-                tasks.append((len(dictionaries) - 1, redraw * config.n_queries + query))
-    sweep = (config, geometry, tuple(dictionaries))
+        for rng, built in zip(rngs, nested):
+            prefix = built[-1] if built else None
+            built.append(build_dictionary(config, dict_size, rng, geometry, prefix=prefix))
+    dictionaries = tuple(map(tuple, nested))
+    tasks = [
+        (redraw, redraw * config.n_queries + query)
+        for redraw in redraws
+        for query in range(config.n_queries)
+    ]
+    sweep = (config, geometry, dictionaries)
 
     records: list[ResultRecord] = []
     if n_workers == 1:

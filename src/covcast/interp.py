@@ -12,6 +12,7 @@ per-query bandwidth search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +31,7 @@ from .spd import (
     _invsqrtm,
     _norms,
     _pruned_nearest,
+    _read_only,
     _whitened_logs,
     barycenter,
 )
@@ -202,6 +204,12 @@ class _QueryGeometry:
     ``eigh``, ``eigvalsh`` and ``matmul`` treat each row as they treat a lone
     matrix, and ``log X`` from the shared decomposition is bitwise
     ``spd._logm``'s.  So no weight depends on which scheme asked first.
+
+    Every row belongs to one uplink, so a new geometry may start from a
+    geometry of the same query bits against a dictionary its own extends
+    (:meth:`_start_from`, see :func:`_geometry`): it takes that geometry's
+    decomposition and rows as its own first rows, and computes only the rows
+    after them that a scheme asks for.
     """
 
     __slots__ = ("dictionary", "query", "_roots", "_tangents", "_norms", "_pending", "_ai")
@@ -211,10 +219,24 @@ class _QueryGeometry:
         self.dictionary = dictionary
         self.query = query
         self._roots: tuple[np.ndarray, np.ndarray] | None = None
+        # An array shorter than the dictionary holds the rows _start_from took.
         self._tangents: dict[Metric, np.ndarray] = {}
         self._norms: dict[Metric, np.ndarray] = {}
         self._pending: np.ndarray | None = None  # whitened rows not yet computed
         self._ai: np.ndarray | None = None  # affine-invariant distances, nan until computed
+
+    def _start_from(self, prefix: _QueryGeometry) -> None:
+        """Take ``prefix``'s decomposition and rows as this new geometry's."""
+        k = len(self.dictionary)
+        self._roots = prefix._roots
+        self._norms = dict(prefix._norms)
+        self._tangents = dict(prefix._tangents)
+        if prefix._pending is not None:
+            ai = Metric.AFFINE_INVARIANT
+            self._tangents[ai] = _padded(prefix._tangents[ai], k, 0.0)
+            self._pending = _padded(prefix._pending, k, True)
+        if prefix._ai is not None:
+            self._ai = _padded(prefix._ai, k, np.nan)
 
     def roots(self) -> tuple[np.ndarray, np.ndarray]:
         """``(X^{-1/2}, log X)``, from one eigendecomposition."""
@@ -229,15 +251,25 @@ class _QueryGeometry:
         if metric is Metric.AFFINE_INVARIANT:
             tangents = self._whitened(np.arange(len(self.dictionary)) if idx is None else idx)
         else:
-            if metric not in self._tangents:
-                uplinks = self.dictionary.uplinks
-                self._tangents[metric] = (
-                    uplinks.mats - self.query.mat
-                    if metric is Metric.EUCLIDEAN
-                    else uplinks.logs - self.roots()[1]
-                )
-            tangents = self._tangents[metric]
+            uplinks = self.dictionary.uplinks
+            tangents = self._rows(
+                self._tangents,
+                metric,
+                lambda start: uplinks.mats[start:] - self.query.mat
+                if metric is Metric.EUCLIDEAN
+                else uplinks.logs[start:] - self.roots()[1],
+            )
         return tangents if idx is None else tangents[idx]
+
+    def _rows(self, store: dict, metric: Metric, rows) -> np.ndarray:
+        """``store[metric]`` for every uplink: the rows it holds, then
+        ``rows(start)`` for the uplinks from ``start`` on."""
+        head = store.get(metric)
+        start = 0 if head is None else len(head)
+        if start < len(self.dictionary):
+            tail = rows(start)
+            store[metric] = tail if head is None else np.concatenate([head, tail])
+        return store[metric]
 
     def _whitened(self, idx: np.ndarray) -> np.ndarray:
         """The whitened tangents, with at least the rows at ``idx`` filled."""
@@ -257,9 +289,7 @@ class _QueryGeometry:
     def norms(self, metric: Metric) -> np.ndarray:
         """The Frobenius norm of every tangent: the metric's distances, for
         the affine-invariant metric in tangent-norm form."""
-        if metric not in self._norms:
-            self._norms[metric] = _norms(self.tangents(metric))
-        return self._norms[metric]
+        return self._rows(self._norms, metric, lambda start: _norms(self.tangents(metric)[start:]))
 
     def _ai_distances_at(self, idx: np.ndarray) -> np.ndarray:
         """The affine-invariant distances to the uplinks at ``idx``, in the
@@ -287,6 +317,11 @@ class _QueryGeometry:
         return np.argsort(d, kind="stable")[:k]
 
 
+def _padded(head: np.ndarray, k: int, fill) -> np.ndarray:
+    """``head``, then rows of ``fill`` up to ``k`` rows."""
+    return np.concatenate([head, np.full((k - len(head), *head.shape[1:]), fill, head.dtype)])
+
+
 # The geometry the weight functions read last (see _geometry).
 _LAST_GEOMETRY: _QueryGeometry | None = None
 
@@ -300,11 +335,31 @@ def _geometry(dictionary: Dictionary, query: SPDMatrix) -> _QueryGeometry:
     share its geometry, the next query or dictionary replaces it, and no
     value reaches another query, not even one that reuses a dead query's
     ``id()``.
+
+    On a miss, the new geometry starts from the last one's rows if the new
+    dictionary extends the last one's (its uplink stack has the last one's
+    in its ``prefix`` chain, see :class:`Dictionary`) and the new query's
+    matrix has the last one's bits (complex128 ``(n, n)`` arrays with
+    equal bytes).  Those rows are bitwise the new geometry's first rows, so
+    it computes only the rows after them: the sweep's nested dictionaries,
+    answering one trial's query in ascending K, each compute only the
+    uplinks their K adds.  Nothing else starts from another geometry: not
+    the same dictionary with another query object (so each call of
+    :func:`~covcast.harness.timing_bench` pays its whole cost), not a
+    smaller or unrelated dictionary, and not a query answered after another
+    query.
     """
     global _LAST_GEOMETRY
-    geometry = _LAST_GEOMETRY
-    if geometry is None or geometry.dictionary is not dictionary or geometry.query is not query:
-        geometry = _LAST_GEOMETRY = _QueryGeometry(dictionary, query)
+    last = _LAST_GEOMETRY
+    if last is not None and last.dictionary is dictionary and last.query is query:
+        return last
+    geometry = _LAST_GEOMETRY = _QueryGeometry(dictionary, query)
+    if (
+        last is not None
+        and dictionary.uplinks._extends(last.dictionary.uplinks)
+        and last.query.mat.tobytes() == query.mat.tobytes()
+    ):
+        geometry._start_from(last)
     return geometry
 
 
@@ -454,13 +509,21 @@ def _tangent_rows(tangents: np.ndarray, order: np.ndarray, unit: float) -> np.nd
     are the permuted rows, bit for bit.
     """
     k, n, _ = tangents.shape
+    cols, factor = _half_vectorization(n)
+    rows = np.take(tangents.reshape(k, -1).view(np.float64), cols, axis=1)[order]
+    rows *= factor / unit
+    return rows
+
+
+@functools.cache
+def _half_vectorization(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_tangent_rows`'s columns of an ``(n, n)`` complex matrix's
+    float64 view, and their factors; read-only, built once per ``n``."""
     upper = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
     cols = np.concatenate([2 * (n + 1) * np.arange(n), 2 * upper, 2 * upper + 1])
     factor = np.full(n * n, np.sqrt(2.0))
     factor[:n] = 1.0
-    rows = np.take(tangents.reshape(k, -1).view(np.float64), cols, axis=1)[order]
-    rows *= factor / unit
-    return rows
+    return _read_only(cols), _read_only(factor)
 
 
 def select_bandwidth(

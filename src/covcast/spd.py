@@ -511,6 +511,15 @@ class SPDStack(Sequence):
             self._logs = self._after_prefix("logs", lambda start: _logm(self.mats[start:]))
         return self._logs
 
+    def _extends(self, stack: SPDStack) -> bool:
+        """Whether ``stack`` is this stack's prefix, or a prefix of it: then
+        this stack's first points are ``stack``'s, and its arrays start with
+        ``stack``'s rows, bitwise."""
+        prefix = self._prefix
+        while prefix is not None and prefix is not stack:
+            prefix = prefix._prefix
+        return prefix is not None
+
     def _after_prefix(self, name: str, rows) -> np.ndarray:
         """The prefix's array ``name``, then ``rows(start)`` for the points
         from ``start``, the prefix's length, on."""

@@ -260,19 +260,26 @@ class TestRunBenchmark:
 
     def test_pool_tasks_name_dictionaries_by_index(self, monkeypatch):
         # The dictionaries reach each worker once, through the pool
-        # initializer; a task is only (dictionary index, trial).
-        seen = []
+        # initializer, one tuple per redraw in ascending K; a task is only
+        # (redraw, trial), and its redraw indexes them.
+        seen, initargs = [], []
 
         class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initargs.append(kwargs["initargs"])
+                super().__init__(*args, **kwargs)
+
             def map(self, fn, tasks, **kwargs):
                 tasks = list(tasks)
                 seen.extend(tasks)
                 return super().map(fn, tasks, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        config = tiny_config(dict_sizes=(2, 3), n_dictionary_redraws=2, n_queries=1)
+        config = tiny_config(dict_sizes=(3, 2), n_dictionary_redraws=2, n_queries=1)
         pooled = run_benchmark(config, n_workers=2)
-        assert seen == [(0, 0), (1, 1), (2, 0), (3, 1)]
+        assert seen == [(0, 0), (1, 1)]
+        ((_, _, dictionaries),) = initargs
+        assert [[len(d) for d in nested] for nested in dictionaries] == [[2, 3], [2, 3]]
         assert strip_runtimes(pooled) == strip_runtimes(run_benchmark(config))
 
     def test_stacks_are_fitted_before_the_first_query(self, monkeypatch):
@@ -282,16 +289,14 @@ class TestRunBenchmark:
         config = tiny_config(dict_sizes=(2, 3), n_dictionary_redraws=2, n_queries=1)
 
         def fitted(dictionaries) -> bool:
-            stacks = [s for d in dictionaries for s in (d.uplinks, d.downlinks)]
+            stacks = [s for n in dictionaries for d in n for s in (d.uplinks, d.downlinks)]
             return all(s._mats is not None and s._logs is not None for s in stacks)
 
         geometry = make_geometry(config)
-        rng = rng_for(3)
-        small = build_dictionary(config, 2, rng, geometry)
-        large = build_dictionary(config, 3, rng, geometry, prefix=small)
+        dictionaries = tuple((build_dictionary(config, 2, rng_for(r), geometry),) for r in (3, 4))
         monkeypatch.setattr(harness, "_SWEEP", None)
-        harness._init_sweep(config, geometry, (small, large))
-        assert fitted((small, large))
+        harness._init_sweep(config, geometry, dictionaries)
+        assert fitted(dictionaries)
 
         real = harness._run_trial
         seen = []
@@ -303,6 +308,36 @@ class TestRunBenchmark:
         monkeypatch.setattr(harness, "_run_trial", checked)
         run_benchmark(config)
         assert seen and all(seen)
+
+    def test_nested_sizes_answer_as_with_a_fresh_geometry(self, monkeypatch):
+        # Each task walks its redraw's nested dictionaries, and each K's
+        # schemes start from the geometry the K before left.  The records
+        # are those of one worker, of two, and of every (K, trial) answered
+        # with the geometry memo cleared.
+        config = tiny_config(dict_sizes=(2, 3, 5), n_dictionary_redraws=2)
+        starts = []
+        real_start = interp._QueryGeometry._start_from
+
+        def start_from(geometry, prefix):
+            starts.append((len(prefix.dictionary), len(geometry.dictionary)))
+            real_start(geometry, prefix)
+
+        monkeypatch.setattr(interp._QueryGeometry, "_start_from", start_from)
+        serial = strip_runtimes(run_benchmark(config))
+        trials = config.n_dictionary_redraws * config.n_queries
+        assert starts == [(2, 3), (3, 5)] * trials
+        assert strip_runtimes(run_benchmark(config, n_workers=2)) == serial
+
+        real_run = harness._run_estimators
+
+        def cleared(*args):
+            interp._LAST_GEOMETRY = None
+            return real_run(*args)
+
+        monkeypatch.setattr(harness, "_run_estimators", cleared)
+        starts.clear()
+        assert strip_runtimes(run_benchmark(config)) == serial
+        assert starts == []
 
 
 class TestNestedStreams:

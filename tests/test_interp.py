@@ -1156,6 +1156,17 @@ def count_stacked_rows(monkeypatch) -> dict[str, list[int]]:
     return rows
 
 
+def nested_dictionaries(d: Dictionary, sizes) -> list[Dictionary]:
+    """The dictionaries of ``d``'s first K pairs for each K of ``sizes``,
+    ascending, each extending the one before, as the sweep builds them."""
+    nested, start = [], 0
+    for k in sizes:
+        pairs = zip(d.uplinks[start:k], d.downlinks[start:k])
+        nested.append(Dictionary(pairs, nested[-1] if nested else None))
+        start = k
+    return nested
+
+
 class TestSharedGeometry:
     @pytest.mark.parametrize("config_name", ["desk_ula.cfg", "paper_scale.cfg"])
     def test_weights_do_not_depend_on_scheme_order(self, config_name, desk_ula_case):
@@ -1229,3 +1240,72 @@ class TestSharedGeometry:
         assert rows["eigh"].count(0) == 1 and rows["eigvalsh"].count(0) == 0
         assert sum(rows["eigh"]) == len(d)  # the kernel reads every tangent
         assert sum(rows["eigvalsh"]) <= len(d)
+
+    def test_nested_sizes_start_from_the_smaller_geometry(self, monkeypatch):
+        # One paper_scale query answered at K = 50, 100, 150, 300 and 500 on
+        # nested dictionaries, as a sweep trial answers it, on a query object
+        # of its own at each K: every scheme and metric gets the bits a
+        # fresh geometry gives at that K alone, and each whitened uplink is
+        # decomposed once over the whole chain.
+        config = parse_config(CONFIG_DIR / "paper_scale.cfg")
+        d, (q,) = paper_scale_case(500, [0])
+        sizes = config.dict_sizes
+        schemes = list(config.schemes)
+        alone = {}
+        for k in sizes:
+            own = Dictionary(zip(d.uplinks[:k], d.downlinks[:k]))
+            for case in schemes:
+                monkeypatch.setattr(interp, "_LAST_GEOMETRY", None)
+                alone[k, case] = weight_bits(*case, own, fresh_copy(q))
+        chain = nested_dictionaries(d, sizes)
+        chain[-1].uplinks.logs  # fitted before any query, as the sweep fits it
+        rows = count_stacked_rows(monkeypatch)
+        for nested in chain:
+            q_k = fresh_copy(q)
+            for case in schemes:
+                assert weight_bits(*case, nested, q_k) == alone[len(nested), case], case
+        assert rows["eigh"].count(0) == 1  # the query, decomposed at K = 50
+        assert sum(rows["eigh"]) == 500
+        assert sum(rows["eigvalsh"]) <= 500
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "same dictionary, equal-bits copy",
+            "same size, outside the prefix chain",
+            "smaller dictionary",
+            "query differing in one last bit",
+            "another query in between",
+        ],
+    )
+    def test_no_other_geometry_is_a_start(self, case, monkeypatch):
+        # A geometry starts from the last one only for a dictionary that
+        # extends the last one's and a query of the same bits.  Each case
+        # answers its first (dictionary, query) pairs with every scheme, then
+        # the last pair, which must get the bits of a fresh geometry, and
+        # decompose the query and compute every whitened row itself.
+        rng = np.random.default_rng(91)
+        pairs = [(random_spd(rng, 3), random_spd(rng, 3)) for _ in range(12)]
+        d4, d8, d12 = nested_dictionaries(Dictionary(pairs), (4, 8, 12))
+        twin8 = Dictionary(pairs[:4] + pairs[8:])  # d4's pairs first, no prefix
+        q, p = random_spd(rng, 3), random_spd(rng, 3)
+        last_bit = q.mat.copy()
+        last_bit[-1, -1] = np.nextafter(last_bit[-1, -1].real, np.inf)
+        *first, (d, query) = {
+            "same dictionary, equal-bits copy": [(d8, q), (d8, fresh_copy(q))],
+            "same size, outside the prefix chain": [(d4, q), (twin8, fresh_copy(q))],
+            "smaller dictionary": [(d8, q), (d4, fresh_copy(q))],
+            "query differing in one last bit": [(d4, q), (d8, SPDMatrix(last_bit))],
+            "another query in between": [(d4, q), (d8, p), (d12, fresh_copy(q))],
+        }[case]
+        assert d12.uplinks._extends(d4.uplinks)
+        answers = [(s, m) for s in SCHEMES for m in METRICS]
+        fresh = [weight_bits(*a, d, fresh_copy(query)) for a in answers]
+        for d_first, q_first in first:
+            for a in answers:
+                weight_bits(*a, d_first, q_first)
+        with monkeypatch.context() as m:
+            rows = count_stacked_rows(m)
+            weight_bits(Scheme.kernel(), Metric.AFFINE_INVARIANT, d, query)
+        assert rows["eigh"] == [0, len(d)]
+        assert [weight_bits(*a, d, query) for a in answers] == fresh
