@@ -21,20 +21,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import nnls
 
-from .spd import (
-    Metric,
-    SPDMatrix,
-    SPDStack,
-    _ai_distances,
-    _check_same_dim,
-    _check_weights,
-    _invsqrtm,
-    _norms,
-    _pruned_nearest,
-    _read_only,
-    _whitened_logs,
-    barycenter,
-)
+from .spd import Metric, SPDMatrix, SPDStack, _QueryGeometry, _check_weights, _read_only, barycenter
 
 __all__ = [
     "Dictionary",
@@ -186,152 +173,18 @@ class DownlinkEstimate:
     flags: tuple[str, ...]
 
 
-class _QueryGeometry:
-    """What the weight schemes read of one query ``X`` against one
-    dictionary's uplinks ``P_k``, each part computed on first use:
-
-    - the query's one eigendecomposition, for ``X^{-1/2}`` and ``log X``;
-    - the Euclidean and log-Euclidean tangents ``P_k - X`` and
-      ``log P_k - log X`` to every uplink, and their norms: those metrics'
-      distances, and the bounds of the affine-invariant nearest-entry search;
-    - the affine-invariant distances and whitened tangents
-      ``log(X^{-1/2} P_k X^{-1/2})``, row by row as the schemes ask for
-      them, and the tangents' norms once every row is filled.
-
-    Every value is bitwise what :mod:`covcast.spd` computes for the same
-    entries alone (:func:`~covcast.spd.log_maps`,
-    :func:`~covcast.spd.distances`, :func:`~covcast.spd.nearest`): stacked
-    ``eigh``, ``eigvalsh`` and ``matmul`` treat each row as they treat a lone
-    matrix, and ``log X`` from the shared decomposition is bitwise
-    ``spd._logm``'s.  So no weight depends on which scheme asked first.
-
-    Every row belongs to one uplink, so a new geometry may start from a
-    geometry of the same query bits against a dictionary its own extends
-    (:meth:`_start_from`, see :func:`_geometry`): it takes that geometry's
-    decomposition and rows as its own first rows, and computes only the rows
-    after them that a scheme asks for.
-    """
-
-    __slots__ = ("dictionary", "query", "_roots", "_tangents", "_norms", "_pending", "_ai")
-
-    def __init__(self, dictionary: Dictionary, query: SPDMatrix) -> None:
-        _check_same_dim(dictionary.uplinks, query, "weights")
-        self.dictionary = dictionary
-        self.query = query
-        self._roots: tuple[np.ndarray, np.ndarray] | None = None
-        # An array shorter than the dictionary holds the rows _start_from took.
-        self._tangents: dict[Metric, np.ndarray] = {}
-        self._norms: dict[Metric, np.ndarray] = {}
-        self._pending: np.ndarray | None = None  # whitened rows not yet computed
-        self._ai: np.ndarray | None = None  # affine-invariant distances, nan until computed
-
-    def _start_from(self, prefix: _QueryGeometry) -> None:
-        """Take ``prefix``'s decomposition and rows as this new geometry's."""
-        k = len(self.dictionary)
-        self._roots = prefix._roots
-        self._norms = dict(prefix._norms)
-        self._tangents = dict(prefix._tangents)
-        if prefix._pending is not None:
-            ai = Metric.AFFINE_INVARIANT
-            self._tangents[ai] = _padded(prefix._tangents[ai], k, 0.0)
-            self._pending = _padded(prefix._pending, k, True)
-        if prefix._ai is not None:
-            self._ai = _padded(prefix._ai, k, np.nan)
-
-    def roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(X^{-1/2}, log X)``, from one eigendecomposition."""
-        if self._roots is None:
-            self._roots = _invsqrtm(self.query.mat, np.log)
-        return self._roots
-
-    def tangents(self, metric: Metric, idx: np.ndarray | None = None) -> np.ndarray:
-        """The tangents reaching the uplinks at ``idx``, as
-        :func:`~covcast.spd.log_maps` returns them; by default every uplink's,
-        in the shared array, which the caller must not write."""
-        if metric is Metric.AFFINE_INVARIANT:
-            tangents = self._whitened(np.arange(len(self.dictionary)) if idx is None else idx)
-        else:
-            uplinks = self.dictionary.uplinks
-            tangents = self._rows(
-                self._tangents,
-                metric,
-                lambda start: uplinks.mats[start:] - self.query.mat
-                if metric is Metric.EUCLIDEAN
-                else uplinks.logs[start:] - self.roots()[1],
-            )
-        return tangents if idx is None else tangents[idx]
-
-    def _rows(self, store: dict, metric: Metric, rows) -> np.ndarray:
-        """``store[metric]`` for every uplink: the rows it holds, then
-        ``rows(start)`` for the uplinks from ``start`` on."""
-        head = store.get(metric)
-        start = 0 if head is None else len(head)
-        if start < len(self.dictionary):
-            tail = rows(start)
-            store[metric] = tail if head is None else np.concatenate([head, tail])
-        return store[metric]
-
-    def _whitened(self, idx: np.ndarray) -> np.ndarray:
-        """The whitened tangents, with at least the rows at ``idx`` filled."""
-        if self._pending is None:
-            k, n = len(self.dictionary), self.query.dim
-            self._tangents[Metric.AFFINE_INVARIANT] = np.empty((k, n, n), dtype=np.complex128)
-            self._pending = np.ones(k, dtype=bool)
-        tangents = self._tangents[Metric.AFFINE_INVARIANT]
-        missing = idx[self._pending[idx]]
-        if missing.size:
-            tangents[missing] = _whitened_logs(
-                self.roots()[0], self.dictionary.uplinks.mats[missing]
-            )
-            self._pending[missing] = False
-        return tangents
-
-    def norms(self, metric: Metric) -> np.ndarray:
-        """The Frobenius norm of every tangent: the metric's distances, for
-        the affine-invariant metric in tangent-norm form."""
-        return self._rows(self._norms, metric, lambda start: _norms(self.tangents(metric)[start:]))
-
-    def _ai_distances_at(self, idx: np.ndarray) -> np.ndarray:
-        """The affine-invariant distances to the uplinks at ``idx``, in the
-        eigenvalue form of :func:`~covcast.spd.distances`."""
-        if self._ai is None:
-            self._ai = np.full(len(self.dictionary), np.nan)
-        missing = idx[np.isnan(self._ai[idx])]
-        if missing.size:
-            self._ai[missing] = _ai_distances(
-                self.roots()[0], self.dictionary.uplinks.mats[missing]
-            )
-        return self._ai[idx]
-
-    def nearest(self, metric: Metric, k: int) -> np.ndarray:
-        """The indices :func:`~covcast.spd.nearest` returns for the ``k``
-        uplinks nearest the query; its affine-invariant search takes the
-        log-Euclidean norms as its bounds."""
-        everything = np.arange(len(self.dictionary))
-        if metric is not Metric.AFFINE_INVARIANT:
-            d = self.norms(metric)
-        elif k < everything.size:
-            return _pruned_nearest(self.norms(Metric.LOG_EUCLIDEAN), self._ai_distances_at, k)[0]
-        else:
-            d = self._ai_distances_at(everything)
-        return np.argsort(d, kind="stable")[:k]
-
-
-def _padded(head: np.ndarray, k: int, fill) -> np.ndarray:
-    """``head``, then rows of ``fill`` up to ``k`` rows."""
-    return np.concatenate([head, np.full((k - len(head), *head.shape[1:]), fill, head.dtype)])
-
-
 # The geometry the weight functions read last (see _geometry).
 _LAST_GEOMETRY: _QueryGeometry | None = None
 
 
 def _geometry(dictionary: Dictionary, query: SPDMatrix) -> _QueryGeometry:
-    """The geometry of ``query`` against ``dictionary``, shared by the weight
-    functions called on them one after another.
+    """The geometry (:class:`~covcast.spd._QueryGeometry`) of ``query``
+    against ``dictionary``'s uplinks, shared by the weight functions called
+    on them one after another.
 
-    A one-entry memo: it holds the last dictionary and query by strong
-    reference and matches both by identity.  So the estimators of one query
+    A one-entry memo: it holds the last uplink stack and query by strong
+    reference and matches both by identity.  Each dictionary builds its own
+    stacks, so this matches the dictionary.  So the estimators of one query
     share its geometry, the next query or dictionary replaces it, and no
     value reaches another query, not even one that reuses a dead query's
     ``id()``.
@@ -350,13 +203,13 @@ def _geometry(dictionary: Dictionary, query: SPDMatrix) -> _QueryGeometry:
     query.
     """
     global _LAST_GEOMETRY
-    last = _LAST_GEOMETRY
-    if last is not None and last.dictionary is dictionary and last.query is query:
+    last, uplinks = _LAST_GEOMETRY, dictionary.uplinks
+    if last is not None and last.points is uplinks and last.query is query:
         return last
-    geometry = _LAST_GEOMETRY = _QueryGeometry(dictionary, query)
+    geometry = _LAST_GEOMETRY = _QueryGeometry(uplinks, query)
     if (
         last is not None
-        and dictionary.uplinks._extends(last.dictionary.uplinks)
+        and uplinks._extends(last.points)
         and last.query.mat.tobytes() == query.mat.tobytes()
     ):
         geometry._start_from(last)
@@ -372,7 +225,7 @@ def nearest_neighbor_weights(
     :func:`~covcast.spd.nearest`, read from the query's shared geometry.
     """
     w = np.zeros(len(dictionary))
-    w[_geometry(dictionary, query).nearest(metric, 1)] = 1.0
+    w[_geometry(dictionary, query).nearest(metric, 1)[0]] = 1.0
     return WeightVector(w)
 
 
@@ -433,8 +286,9 @@ def mirror_weights(
 
     The ``k_s = min(n_ul^2, K)`` uplink entries closest to the query are
     selected (as :func:`~covcast.spd.nearest` selects them, ties toward the
-    lowest index, from the query's shared geometry); the weights minimize, over the simplex, the norm of the
-    weighted sum of the tangents from the query to those entries, in the
+    lowest index, from the query's shared geometry); the weights minimize,
+    over the simplex, the norm of the weighted sum of the tangents from the
+    query to those entries, in the
     metric's own norm at the query: :func:`~covcast.spd.log_maps` returns
     them in coordinates where that norm is Frobenius (for the
     affine-invariant metric, whitened, ``||X^{-1/2} V X^{-1/2}||_F``).  The
@@ -446,7 +300,7 @@ def mirror_weights(
     geometry = _geometry(dictionary, query)
     k = len(dictionary)
     k_s = min(dictionary.uplinks.dim**2, k)
-    selected = geometry.nearest(metric, k_s)
+    selected, _ = geometry.nearest(metric, k_s)
 
     tangents = geometry.tangents(metric, selected)
     w_sel = solve_simplex_qp(_tangent_rows(tangents, np.arange(k_s), 1.0).T).w
@@ -750,12 +604,14 @@ def estimate_downlink(
     the stop rule of :func:`~covcast.spd.barycenter`, is flagged
     ``karcher-nonconverged``.
 
-    The weight functions read the query's geometry (:func:`_geometry`):
-    estimates called one after another on the same ``dictionary`` and
-    ``query`` objects share the query's decomposition and its tangents and
-    distances to the uplinks, and the first estimate that needs a value
-    pays for it.  Each value is bitwise what the estimate would compute
-    alone, so no estimate depends on the order they run in.
+    The weight functions read the query's geometry (:func:`_geometry`), the
+    code behind :func:`~covcast.spd.distances`, :func:`~covcast.spd.nearest`
+    and :func:`~covcast.spd.log_maps`: estimates called one after another on
+    the same ``dictionary`` and ``query`` objects share the query's
+    decomposition and its tangents and distances to the uplinks, and the
+    first estimate that needs a value pays for it.  A value's bits do not
+    depend on which estimate computed it, so no estimate depends on the
+    order they run in.
     """
     flags: tuple[str, ...] = ()
     if scheme.kind is SchemeKind.NEAREST_NEIGHBOR:

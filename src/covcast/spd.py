@@ -251,8 +251,12 @@ def _invsqrtm(a: np.ndarray, *fns) -> tuple[np.ndarray, ...]:
     :func:`_sqrtm`, ``np.log`` :func:`_logm`), from a single eigendecomposition."""
     w, u = _eigh_sym(a)
     _check_positive(w, "matrix square root undefined on the cone")
-    isq = _herm((u / np.sqrt(w)[..., None, :]) @ _ct(u))
-    return (isq, *(_spectral(u, f(w)) for f in fns))
+    return (_inv_sqrt(w, u), *(_spectral(u, f(w)) for f in fns))
+
+
+def _inv_sqrt(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``U diag(λ^{-1/2}) U^H`` from positive eigenvalues, exactly Hermitian."""
+    return _herm((u / np.sqrt(w)[..., None, :]) @ _ct(u))
 
 
 def _hermitian_congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -428,8 +432,8 @@ class SPDStack(Sequence):
     of the per-matrix functions (:func:`matrix_log`), so every slice is
     bitwise what that function returns for its point.  Nothing is computed
     at construction, and an array that is never asked for is never built.
-    :func:`distances`, :func:`log_maps` and :func:`barycenter` read the
-    arrays.
+    :func:`barycenter` and the query geometry behind :func:`distances`,
+    :func:`nearest` and :func:`log_maps` read the arrays.
 
     A stack may extend a ``prefix`` stack: its points are the prefix's,
     then ``points``.  Its arrays are the prefix's arrays, fitted on first
@@ -529,6 +533,159 @@ class SPDStack(Sequence):
         return _read_only(np.concatenate([head, rows(len(head))]))
 
 
+class _QueryGeometry:
+    """What the metrics read of one query ``X`` against a stack of points
+    ``P_k``, each part computed on first use:
+
+    - the query's one eigendecomposition, and from it ``X^{-1/2}`` and
+      ``log X``, each formed when first read;
+    - the Euclidean and log-Euclidean tangents ``P_k - X`` and
+      ``log P_k - log X`` to every point, and their norms: those metrics'
+      distances, and the bounds of the affine-invariant search of
+      :func:`nearest`;
+    - the affine-invariant distances and whitened tangents
+      ``log(X^{-1/2} P_k X^{-1/2})``, row by row as they are asked for, and
+      the tangents' norms once every row is filled.
+
+    :func:`distances`, :func:`nearest` and :func:`log_maps` each read a
+    fresh geometry; ``covcast.interp``'s weight schemes share one per
+    query.  Stacked ``eigh``, ``eigvalsh`` and ``matmul`` treat each row as
+    they treat a lone matrix, so every value has the same bits whichever
+    rows were asked for before it, and no weight depends on which scheme
+    asked first.
+
+    Every row belongs to one point, so a new geometry may start from a
+    geometry of the same query bits against a stack its own extends
+    (:meth:`_start_from`): it takes that geometry's decomposition and rows
+    as its own first rows, and computes only the rows after them that are
+    asked for.
+    """
+
+    __slots__ = ("points", "query", "_roots", "_tangents", "_norms", "_pending", "_ai")
+
+    def __init__(self, points: SPDStack, query: SPDMatrix) -> None:
+        _check_same_dim(points, query, "query geometry")
+        self.points = points
+        self.query = query
+        self._roots: dict[str, object] = {}
+        # An array shorter than the stack holds the rows _start_from took.
+        self._tangents: dict[Metric, np.ndarray] = {}
+        self._norms: dict[Metric, np.ndarray] = {}
+        self._pending: np.ndarray | None = None  # whitened rows not yet computed
+        self._ai: np.ndarray | None = None  # affine-invariant distances, nan until computed
+
+    def _start_from(self, prefix: _QueryGeometry) -> None:
+        """Take ``prefix``'s decomposition and rows as this new geometry's."""
+        k = len(self.points)
+        self._roots = dict(prefix._roots)
+        self._norms = dict(prefix._norms)
+        self._tangents = dict(prefix._tangents)
+        if prefix._pending is not None:
+            ai = Metric.AFFINE_INVARIANT
+            self._tangents[ai] = _padded(prefix._tangents[ai], k, 0.0)
+            self._pending = _padded(prefix._pending, k, True)
+        if prefix._ai is not None:
+            self._ai = _padded(prefix._ai, k, np.nan)
+
+    def _root(self, name: str) -> np.ndarray:
+        """``X^{-1/2}`` (``"isq"``) or ``log X`` (``"log"``), bitwise
+        :func:`_invsqrtm`'s and :func:`_logm`'s, each formed on first use
+        from the query's one eigendecomposition."""
+        roots = self._roots
+        if name not in roots:
+            if "eigh" not in roots:
+                roots["eigh"] = _eigh_sym(self.query.mat)
+                _check_positive(roots["eigh"][0], "matrix square root undefined on the cone")
+            w, u = roots["eigh"]
+            roots[name] = _inv_sqrt(w, u) if name == "isq" else _spectral(u, np.log(w))
+        return roots[name]
+
+    def tangents(self, metric: Metric, idx: np.ndarray | None = None) -> np.ndarray:
+        """The tangents reaching the points at ``idx``, as :func:`log_maps`
+        returns them; by default every point's, in the shared array, which
+        the caller must not write."""
+        if metric is Metric.AFFINE_INVARIANT:
+            tangents = self._whitened(np.arange(len(self.points)) if idx is None else idx)
+        else:
+            tangents = self._rows(
+                self._tangents,
+                metric,
+                lambda start: self.points.mats[start:] - self.query.mat
+                if metric is Metric.EUCLIDEAN
+                else self.points.logs[start:] - self._root("log"),
+            )
+        return tangents if idx is None else tangents[idx]
+
+    def _rows(self, store: dict, metric: Metric, rows) -> np.ndarray:
+        """``store[metric]`` for every point: the rows it holds, then
+        ``rows(start)`` for the points from ``start`` on."""
+        head = store.get(metric)
+        start = 0 if head is None else len(head)
+        if start < len(self.points):
+            tail = rows(start)
+            store[metric] = tail if head is None else np.concatenate([head, tail])
+        return store[metric]
+
+    def _whitened(self, idx: np.ndarray) -> np.ndarray:
+        """The whitened tangents, with at least the rows at ``idx`` filled."""
+        if self._pending is None:
+            k, n = len(self.points), self.query.dim
+            self._tangents[Metric.AFFINE_INVARIANT] = np.empty((k, n, n), dtype=np.complex128)
+            self._pending = np.ones(k, dtype=bool)
+        tangents = self._tangents[Metric.AFFINE_INVARIANT]
+        missing = idx[self._pending[idx]]
+        if missing.size:
+            tangents[missing] = _whitened_logs(self._root("isq"), self.points.mats[missing])
+            self._pending[missing] = False
+        return tangents
+
+    def norms(self, metric: Metric) -> np.ndarray:
+        """The Frobenius norm of every tangent: the metric's distances, for
+        the affine-invariant metric in tangent-norm form."""
+        return self._rows(self._norms, metric, lambda start: _norms(self.tangents(metric)[start:]))
+
+    def _ai_distances_at(self, idx: np.ndarray) -> np.ndarray:
+        """The affine-invariant distances to the points at ``idx``, in
+        :func:`distances`' eigenvalue form."""
+        if self._ai is None:
+            self._ai = np.full(len(self.points), np.nan)
+        missing = idx[np.isnan(self._ai[idx])]
+        if missing.size:
+            self._ai[missing] = _ai_distances(self._root("isq"), self.points.mats[missing])
+        return self._ai[idx]
+
+    def distances(self, metric: Metric) -> np.ndarray:
+        """:func:`distances` to every point."""
+        if metric is Metric.AFFINE_INVARIANT:
+            return self._ai_distances_at(np.arange(len(self.points)))
+        return self.norms(metric)
+
+    def nearest(self, metric: Metric, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`nearest`'s indices and distances, by the search its
+        docstring derives; the affine-invariant search takes the
+        log-Euclidean norms as its bounds."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if metric is not Metric.AFFINE_INVARIANT or k >= len(self.points):
+            d = self.distances(metric)
+        else:
+            lower = self.norms(Metric.LOG_EUCLIDEAN)
+            first = np.argsort(lower, kind="stable")[:k]
+            d = np.full(lower.size, np.inf)
+            d[first] = self._ai_distances_at(first)
+            rest = np.flatnonzero((lower <= d[first].max() + NEAREST_SLACK) & np.isinf(d))
+            if rest.size:
+                d[rest] = self._ai_distances_at(rest)
+            # entries never computed stay at +inf, behind the k computed ones
+        idx = np.argsort(d, kind="stable")[:k]
+        return idx, d[idx]
+
+
+def _padded(head: np.ndarray, k: int, fill) -> np.ndarray:
+    """``head``, then rows of ``fill`` up to ``k`` rows."""
+    return np.concatenate([head, np.full((k - len(head), *head.shape[1:]), fill, head.dtype)])
+
+
 def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
     """``distance(metric, x, p)`` for every point ``p`` of the stack, bitwise.
 
@@ -538,15 +695,9 @@ def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
 
     Affine-invariant keeps its eigenvalue form, the root sum of squared
     log-eigenvalues of ``X^{-1/2} P_k X^{-1/2}``: the tangent's norm adds the
-    rounding of its eigenbasis.  The score is this distance squared.  On
-    three desk ULA no-conversion scores (whitened condition numbers 1.1e11
-    to 5.4e11) it erred by 1.8e-7, 7.1e-8 and 2.0e-8 relative to 60-digit
-    references, the tangent norm by 5.3e-7, 3.5e-7 and 9.8e-8.
+    rounding of its eigenbasis, and the score is this distance squared.
     """
-    _check_same_dim(points, x, "distances")
-    if metric is Metric.AFFINE_INVARIANT:
-        return _ai_distances(_invsqrtm(x.mat)[0], points.mats)
-    return _norms(log_maps(metric, x, points, np.arange(len(points))))
+    return _QueryGeometry(points, x).distances(metric)
 
 
 def nearest(
@@ -577,10 +728,9 @@ def nearest(
     An entry left out has ``l > u + NEAREST_SLACK``, so its affine-invariant
     distance exceeds ``u`` and it cannot displace any of the ``k`` nearest,
     not even on a tie.  Every computed distance is bitwise what
-    :func:`distances` returns for it, so the result is exact.  Steps 2 and 3
-    are :func:`_pruned_nearest`, which a caller already holding ``X^{-1/2}``
-    and the distances ``l`` (``covcast.interp``'s query geometry) calls
-    directly.
+    :func:`distances` returns for it, so the result is exact.  The search is
+    the query geometry's, which ``covcast.interp``'s weight schemes read
+    from the geometry they share.
 
     ``NEAREST_SLACK`` absorbs the rounding of the two computed distances,
     which can invert the bound where it is tight (commuting points, whose
@@ -597,33 +747,7 @@ def nearest(
     little: a non-commuting entry's affine-invariant distance is typically a
     few percent above its log-Euclidean one.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if metric is not Metric.AFFINE_INVARIANT or k >= len(points):
-        d = distances(metric, points, x)
-        idx = np.argsort(d, kind="stable")[:k]
-        return idx, d[idx]
-    _check_same_dim(points, x, "nearest")
-    isq, log_x = _invsqrtm(x.mat, np.log)
-    return _pruned_nearest(
-        _norms(points.logs - log_x), lambda idx: _ai_distances(isq, points.mats[idx]), k
-    )
-
-
-def _pruned_nearest(lower: np.ndarray, distances_at, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Steps 2 and 3 of :func:`nearest`'s affine-invariant search, given the
-    log-Euclidean distances ``lower`` and ``distances_at(idx)``, the
-    affine-invariant distances of the entries at ``idx``; ``k`` must be
-    smaller than the stack."""
-    first = np.argsort(lower, kind="stable")[:k]
-    d = np.full(lower.size, np.inf)
-    d[first] = distances_at(first)
-    rest = np.flatnonzero((lower <= d[first].max() + NEAREST_SLACK) & np.isinf(d))
-    if rest.size:
-        d[rest] = distances_at(rest)
-    # entries never computed stay at +inf, behind the k computed ones
-    idx = np.argsort(d, kind="stable")[:k]
-    return idx, d[idx]
+    return _QueryGeometry(points, x).nearest(metric, k)
 
 
 def log_maps(metric: Metric, x: SPDMatrix, points: SPDStack, idx) -> np.ndarray:
@@ -634,19 +758,7 @@ def log_maps(metric: Metric, x: SPDMatrix, points: SPDStack, idx) -> np.ndarray:
     ``x`` costs one eigendecomposition at most; the affine-invariant tangents
     take one stacked congruence and one stacked logarithm.
     """
-    _check_same_dim(points, x, "log_maps")
-    idx = np.asarray(idx, dtype=np.intp)
-    # The flat metrics subtract in place from the gathered copy, so each
-    # query allocates one (k, n, n) array, not two.
-    if metric is Metric.EUCLIDEAN:
-        tangents = points.mats[idx]
-        tangents -= x.mat
-        return tangents
-    if metric is Metric.LOG_EUCLIDEAN:
-        tangents = points.logs[idx]
-        tangents -= _logm(x.mat)
-        return tangents
-    return _whitened_logs(_invsqrtm(x.mat)[0], points.mats[idx])
+    return _QueryGeometry(points, x).tangents(metric, np.asarray(idx, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -850,12 +962,7 @@ def barycenter(
     both computations, a fraction of ``p``; where ``p`` is large that
     fraction alone approaches ``KARCHER_FLOOR_TOL``.  So the cap accepts no
     computed residual above a tenth of ``KARCHER_FLOOR_TOL`` and leaves the
-    other nine tenths for the recomputation's rounding.  On the 595 means of
-    ``paper_scale.cfg``'s kernel and mirror affine-invariant rows that stop
-    at the floor, scipy's recomputation differs by at most ``0.072 p`` and
-    reads at most 9.1e-9; with the stop capped at ``KARCHER_FLOOR_TOL``
-    instead, it accepts computed residuals up to 1.0e-8 that scipy reads at
-    up to 2.9e-8.
+    other nine tenths for the recomputation's rounding.
 
     Parameters
     ----------
@@ -895,6 +1002,11 @@ def barycenter(
     mats = points.mats[active]
     here = _KarcherIterate(le_point, mats, wa)
     iterations = 0
+
+    def result(converged: bool) -> BarycenterResult:
+        # the iterate's own eigh found here.x positive definite
+        return BarycenterResult(SPDMatrix._positive(here.x), converged, iterations, here.residual)
+
     while not here.converged:
         keep, delta = _hessian_support(here.mu, wa)
         hessian = _karcher_hessian(here.u[keep], here.mu[keep], wa[keep])
@@ -903,7 +1015,7 @@ def barycenter(
         t = 1.0
         while True:
             if iterations >= KARCHER_MAX_ITER:
-                return BarycenterResult(SPDMatrix(here.x), False, iterations, here.residual)
+                return result(False)
             iterations += 1
             trial = _KarcherIterate(_hermitian_congruence(here.sq, _expm(t * step)), mats, wa)
             if trial.residual <= (1.0 - t / 2.0) * here.residual or trial.converged:
@@ -911,10 +1023,10 @@ def barycenter(
             if here.residual < KARCHER_FLOOR_TOL:
                 # round-off noise floor: the mean is attained to the accuracy
                 # float64 permits for this conditioning
-                return BarycenterResult(SPDMatrix(here.x), True, iterations, here.residual)
+                return result(True)
             t /= 2.0
             if t * step_norm < _STEP_RESOLUTION:
                 # stalled above the noise floor: no step can move the iterate
-                return BarycenterResult(SPDMatrix(here.x), False, iterations, here.residual)
+                return result(False)
         here = trial
-    return BarycenterResult(SPDMatrix(here.x), True, iterations, here.residual)
+    return result(True)

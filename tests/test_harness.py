@@ -319,7 +319,7 @@ class TestRunBenchmark:
         real_start = interp._QueryGeometry._start_from
 
         def start_from(geometry, prefix):
-            starts.append((len(prefix.dictionary), len(geometry.dictionary)))
+            starts.append((len(prefix.points), len(geometry.points)))
             real_start(geometry, prefix)
 
         monkeypatch.setattr(interp._QueryGeometry, "_start_from", start_from)

@@ -208,8 +208,11 @@ class TestNearestNeighbor:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
         d = make_dictionary(rng, 2, n_ul=3)
-        with pytest.raises(ValueError):
-            nearest_neighbor_weights(d, random_spd(rng, 4), Metric.EUCLIDEAN)
+        q = random_spd(rng, 4)
+        for metric in METRICS:
+            for weights in (nearest_neighbor_weights, mirror_weights, select_bandwidth):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    weights(d, q, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -733,23 +736,33 @@ class TestEstimateDownlink:
         # decomposition (the affine-invariant logarithm of the whitened
         # uplinks; the log-Euclidean logs are the dictionary's, fitted once),
         # no distances pass.  The estimate that follows on the same query
-        # reads them again instead of recomputing them.
+        # reads them again instead of recomputing them.  Only the geometry's
+        # work on the query side is counted: the barycenter decomposes its
+        # own iterates.
         rng = np.random.default_rng(24)
         d = make_dictionary(rng, 4)
         q = random_spd(rng, 3)
         d.uplinks.logs  # fit the dictionary first
         calls, stacked = [], []
+        real_eigh_sym = spd._eigh_sym
+
+        def decomposed(a):
+            if a is q.mat:
+                calls.append("query eigh")
+            return real_eigh_sym(a)
+
+        monkeypatch.setattr(spd, "_eigh_sym", decomposed)
 
         def counting(name):
-            real = getattr(interp, name)
+            real = getattr(spd, name)
 
             def counted(*args):
                 calls.append(name)
                 return real(*args)
 
-            monkeypatch.setattr(interp, name, counted)
+            monkeypatch.setattr(spd, name, counted)
 
-        for name in ("_invsqrtm", "_whitened_logs", "_ai_distances"):
+        for name in ("_whitened_logs", "_ai_distances"):
             counting(name)
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
@@ -763,8 +776,8 @@ class TestEstimateDownlink:
         _, w, _ = select_bandwidth(d, q, metric)
         expected = {
             Metric.EUCLIDEAN: [],
-            Metric.LOG_EUCLIDEAN: ["_invsqrtm"],
-            Metric.AFFINE_INVARIANT: ["_invsqrtm", "_whitened_logs"],
+            Metric.LOG_EUCLIDEAN: ["query eigh"],
+            Metric.AFFINE_INVARIANT: ["query eigh", "_whitened_logs"],
         }[metric]
         assert calls == expected
         assert stacked == ([(4, 3, 3)] if metric is Metric.AFFINE_INVARIANT else [])
@@ -985,6 +998,7 @@ SCHEMES = [Scheme.nearest_neighbor(), Scheme.mirror(), Scheme.kernel()]
 # per-entry paths below call them on one row at a time.
 REAL_NORMS = spd._norms
 REAL_AI_DISTANCES = spd._ai_distances
+REAL_TANGENTS = spd._QueryGeometry.tangents
 
 
 def per_entry_norms(a):
@@ -996,11 +1010,16 @@ def per_entry_ai_distances(isq, mats):
 
 
 def per_entry_tangents(geometry, metric, idx=None):
-    """:meth:`interp._QueryGeometry.tangents` from one whitened_log_map call
-    per entry, each decomposing the query afresh."""
-    uplinks = geometry.dictionary.uplinks
-    idx = range(len(uplinks)) if idx is None else idx
-    return np.stack([whitened_log_map(metric, geometry.query, uplinks[int(i)]).mat for i in idx])
+    """:meth:`spd._QueryGeometry.tangents` from whitened_log_map's steps once
+    per entry: the real tangents of a fresh one-point geometry, each
+    decomposing the query afresh."""
+    points = geometry.points
+    idx = range(len(points)) if idx is None else idx
+    return np.stack([
+        REAL_TANGENTS(spd._QueryGeometry(spd.SPDStack._of(points[int(i)]), geometry.query),
+                      metric, np.array([0]))[0]
+        for i in idx
+    ])
 
 
 def same_estimate(a, b) -> bool:
@@ -1041,9 +1060,9 @@ class TestFittedDictionary:
         d = make_dictionary(rng, k)
         q = random_spd(rng, 3)
         stacked = [estimate_downlink(d, q, s, metric) for s in SCHEMES]
-        monkeypatch.setattr(interp, "_norms", per_entry_norms)
-        monkeypatch.setattr(interp, "_ai_distances", per_entry_ai_distances)
-        monkeypatch.setattr(interp._QueryGeometry, "tangents", per_entry_tangents)
+        monkeypatch.setattr(spd, "_norms", per_entry_norms)
+        monkeypatch.setattr(spd, "_ai_distances", per_entry_ai_distances)
+        monkeypatch.setattr(spd._QueryGeometry, "tangents", per_entry_tangents)
         fresh = make_dictionary(np.random.default_rng(50 + k), k)
         for scheme, est in zip(SCHEMES, stacked):
             assert same_estimate(est, estimate_downlink(fresh, q, scheme, metric))

@@ -15,7 +15,13 @@ from covcast.harness import (
     build_dictionary,
     make_geometry,
 )
-from covcast.interp import Scheme, estimate_downlink
+from covcast.interp import (
+    Scheme,
+    estimate_downlink,
+    mirror_weights,
+    nearest_neighbor_weights,
+    select_bandwidth,
+)
 from covcast.spd import Metric, SPDMatrix, SPDStack, distances, nearest
 from helpers import random_hermitian, random_spd, random_unitary
 
@@ -168,11 +174,15 @@ def test_committed_config_queries(config_cases, name, metric):
     dictionary, queries = config_cases[name]
     for query in queries:
         assert mismatches(metric, dictionary.uplinks, query) == []
-        # and the weight schemes' search, from the query's shared geometry
-        geometry = interp._QueryGeometry(dictionary, query)
+        # and the weight schemes' shared geometry, once nearest neighbor,
+        # mirror and the kernel have filled it, searches as a fresh one does
+        for weights in (nearest_neighbor_weights, mirror_weights, select_bandwidth):
+            weights(dictionary, query, metric)
+        geometry = interp._geometry(dictionary, query)
         for k in search_sizes(dictionary.uplinks):
-            idx, _ = nearest(metric, dictionary.uplinks, query, k)
-            assert np.array_equal(geometry.nearest(metric, k), idx)
+            idx, d = nearest(metric, dictionary.uplinks, query, k)
+            shared_idx, shared_d = geometry.nearest(metric, k)
+            assert np.array_equal(shared_idx, idx) and np.array_equal(shared_d, d)
 
 
 @pytest.mark.parametrize("scheme, limit", [

@@ -36,6 +36,7 @@ from covcast.spd import (
     matrix_exp,
     matrix_log,
     matrix_sqrt,
+    nearest,
     whitened_log_map,
 )
 from helpers import (
@@ -184,8 +185,22 @@ class TestDistance:
         assert abs(d0 - d1) < 1e-8
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            distance(Metric.EUCLIDEAN, SPDMatrix(np.eye(2)), SPDMatrix(np.eye(3)))
+        # Every entry point, under every metric, names the mismatch, not a
+        # shape error from deeper in numpy.
+        x, y = SPDMatrix(np.eye(2)), SPDMatrix(np.eye(3))
+        stack = SPDStack([y, SPDMatrix(2 * np.eye(3))])
+        for metric in METRICS:
+            for call in (
+                lambda: distance(metric, x, y),
+                lambda: distances(metric, stack, x),
+                lambda: nearest(metric, stack, x, 1),
+                lambda: log_maps(metric, x, stack, [0]),
+                lambda: log_map(metric, x, y),
+                lambda: whitened_log_map(metric, x, y),
+                lambda: exp_map(metric, x, HermitianTangent(np.eye(3))),
+            ):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    call()
 
     @given(seeds, st.sampled_from(METRICS))
     def test_metric_axioms(self, seed, metric):
@@ -311,6 +326,24 @@ class TestBarycenter:
         result = barycenter(metric, stack, [0.0, 1.0, 0.0])
         assert result.point is stack[1]
         assert (result.converged, result.iterations, result.residual) == (True, 0, 0.0)
+
+    def test_karcher_mean_takes_no_second_positivity_check(self, monkeypatch):
+        # Each Karcher iterate's own eigh finds it positive definite, so the
+        # mean is returned without another eigvalsh of it.
+        rng = np.random.default_rng(5)
+        stack = SPDStack(random_spd(rng, 4) for _ in range(3))
+        lone = []
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                lone.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        result = barycenter(Metric.AFFINE_INVARIANT, stack, [0.2, 0.0, 0.8])
+        assert result.converged and result.iterations > 0
+        assert lone == []
 
     def test_euclidean_pair(self):
         x = SPDMatrix(np.eye(3))
