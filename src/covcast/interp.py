@@ -302,8 +302,7 @@ def mirror_weights(
     k_s = min(dictionary.uplinks.dim**2, k)
     selected, _ = geometry.nearest(metric, k_s)
 
-    tangents = geometry.tangents(metric, selected)
-    w_sel = solve_simplex_qp(_tangent_rows(tangents, np.arange(k_s), 1.0).T).w
+    w_sel = solve_simplex_qp(_tangent_rows(geometry.tangents(metric), selected, 1.0).T).w
 
     w = np.zeros(k)
     w[selected] = w_sel

@@ -399,9 +399,10 @@ def log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTangent:
     Inverse of :func:`exp_map` for every metric:
     ``exp_map(m, x, log_map(m, x, y)) == y``.
     """
-    v = log_maps(metric, x, SPDStack._of(y), (0,))
+    geometry = _QueryGeometry(SPDStack._of(y), x)
+    v = geometry.tangents(metric)
     if metric is Metric.AFFINE_INVARIANT:
-        v = _hermitian_congruence(_sqrtm(x.mat), v)
+        v = _hermitian_congruence(geometry._root("sq"), v)
     return HermitianTangent(v[0])
 
 
@@ -417,11 +418,24 @@ def whitened_log_map(metric: Metric, x: SPDMatrix, y: SPDMatrix) -> HermitianTan
     Frobenius norm of the result equals ``distance(metric, x, y)``.
     Computed as the one-row case of :func:`log_maps`, with ``y`` the stack.
     """
-    return HermitianTangent(log_maps(metric, x, SPDStack._of(y), (0,))[0])
+    return HermitianTangent(log_maps(metric, x, SPDStack._of(y))[0])
 
 
 # ---------------------------------------------------------------------------
 # Fixed stacks of points
+
+
+def _grown(head: np.ndarray | None, k: int, rows) -> np.ndarray:
+    """The growth rule of every per-point array: the rows ``head`` already
+    holds (none if ``None``), then ``rows(start)`` for the points from
+    ``start = len(head)`` up to ``k``, as one read-only array.  Stacked
+    numpy routines treat each row as a lone matrix, so the array has the
+    bits of one computed over all ``k`` points at once."""
+    start = 0 if head is None else len(head)
+    if start == k:
+        return head
+    tail = rows(start)
+    return _read_only(tail if head is None else np.concatenate([head, tail]))
 
 
 class SPDStack(Sequence):
@@ -436,11 +450,11 @@ class SPDStack(Sequence):
     :func:`nearest` and :func:`log_maps` read the arrays.
 
     A stack may extend a ``prefix`` stack: its points are the prefix's,
-    then ``points``.  Its arrays are the prefix's arrays, fitted on first
-    use of either stack, followed by the rows of its own points.  Each row
-    is computed on its own point, so the arrays are bitwise those of a
-    fresh stack of the same points, whichever stack is fitted first.  A
-    pickled stack holds its arrays and points but not its prefix.
+    then ``points``.  Its arrays grow from the prefix's arrays, fitted on
+    first use of either stack (:func:`_grown`).  Each row is computed on its
+    own point, so the arrays are bitwise those of a fresh stack of the same
+    points, whichever stack is fitted first.  A pickled stack keeps its
+    prefix, and one pickle of a whole chain keeps it one chain.
 
     Raises
     ------
@@ -467,11 +481,6 @@ class SPDStack(Sequence):
         self._prefix = prefix
         self._mats: np.ndarray | None = None
         self._logs: np.ndarray | None = None
-
-    def __getstate__(self):
-        return None, {
-            "_points": self._points, "_prefix": None, "_mats": self._mats, "_logs": self._logs
-        }
 
     __setstate__ = _restore_read_only
 
@@ -503,8 +512,9 @@ class SPDStack(Sequence):
     def mats(self) -> np.ndarray:
         """The points ``P_k`` themselves, shape (k, n, n), read-only."""
         if self._mats is None:
-            self._mats = self._after_prefix(
-                "mats", lambda start: np.stack([p.mat for p in self._points[start:]])
+            head = None if self._prefix is None else self._prefix.mats
+            self._mats = _grown(
+                head, len(self), lambda start: np.stack([p.mat for p in self._points[start:]])
             )
         return self._mats
 
@@ -512,7 +522,8 @@ class SPDStack(Sequence):
     def logs(self) -> np.ndarray:
         """``log P_k`` for every point, shape (k, n, n), read-only."""
         if self._logs is None:
-            self._logs = self._after_prefix("logs", lambda start: _logm(self.mats[start:]))
+            head = None if self._prefix is None else self._prefix.logs
+            self._logs = _grown(head, len(self), lambda start: _logm(self.mats[start:]))
         return self._logs
 
     def _extends(self, stack: SPDStack) -> bool:
@@ -524,28 +535,19 @@ class SPDStack(Sequence):
             prefix = prefix._prefix
         return prefix is not None
 
-    def _after_prefix(self, name: str, rows) -> np.ndarray:
-        """The prefix's array ``name``, then ``rows(start)`` for the points
-        from ``start``, the prefix's length, on."""
-        if self._prefix is None:
-            return _read_only(rows(0))
-        head = getattr(self._prefix, name)
-        return _read_only(np.concatenate([head, rows(len(head))]))
-
 
 class _QueryGeometry:
     """What the metrics read of one query ``X`` against a stack of points
     ``P_k``, each part computed on first use:
 
-    - the query's one eigendecomposition, and from it ``X^{-1/2}`` and
-      ``log X``, each formed when first read;
-    - the Euclidean and log-Euclidean tangents ``P_k - X`` and
-      ``log P_k - log X`` to every point, and their norms: those metrics'
-      distances, and the bounds of the affine-invariant search of
-      :func:`nearest`;
-    - the affine-invariant distances and whitened tangents
-      ``log(X^{-1/2} P_k X^{-1/2})``, row by row as they are asked for, and
-      the tangents' norms once every row is filled.
+    - the query's one eigendecomposition, and from it ``X^{-1/2}``,
+      ``X^{1/2}`` and ``log X``, each formed when first read;
+    - the tangents ``P_k - X``, ``log P_k - log X`` and
+      ``log(X^{-1/2} P_k X^{-1/2})`` to every point, and their norms: the
+      Euclidean and log-Euclidean distances, and the bounds of the
+      affine-invariant search of :func:`nearest`;
+    - the affine-invariant distances, row by row as that search asks for
+      them.
 
     :func:`distances`, :func:`nearest` and :func:`log_maps` each read a
     fresh geometry; ``covcast.interp``'s weight schemes share one per
@@ -557,92 +559,69 @@ class _QueryGeometry:
     Every row belongs to one point, so a new geometry may start from a
     geometry of the same query bits against a stack its own extends
     (:meth:`_start_from`): it takes that geometry's decomposition and rows
-    as its own first rows, and computes only the rows after them that are
-    asked for.
+    as its own first rows, and grows them by the rows of its own points
+    (:func:`_grown`) when they are asked for.
     """
 
-    __slots__ = ("points", "query", "_roots", "_tangents", "_norms", "_pending", "_ai")
+    __slots__ = ("points", "query", "_roots", "_rows", "_ai")
 
     def __init__(self, points: SPDStack, query: SPDMatrix) -> None:
         _check_same_dim(points, query, "query geometry")
         self.points = points
         self.query = query
         self._roots: dict[str, object] = {}
-        # An array shorter than the stack holds the rows _start_from took.
-        self._tangents: dict[Metric, np.ndarray] = {}
-        self._norms: dict[Metric, np.ndarray] = {}
-        self._pending: np.ndarray | None = None  # whitened rows not yet computed
+        # keyed by ("tangents" or "norms", metric); an array shorter than
+        # the stack holds the rows _start_from took
+        self._rows: dict[tuple[str, Metric], np.ndarray] = {}
         self._ai: np.ndarray | None = None  # affine-invariant distances, nan until computed
 
     def _start_from(self, prefix: _QueryGeometry) -> None:
         """Take ``prefix``'s decomposition and rows as this new geometry's."""
-        k = len(self.points)
         self._roots = dict(prefix._roots)
-        self._norms = dict(prefix._norms)
-        self._tangents = dict(prefix._tangents)
-        if prefix._pending is not None:
-            ai = Metric.AFFINE_INVARIANT
-            self._tangents[ai] = _padded(prefix._tangents[ai], k, 0.0)
-            self._pending = _padded(prefix._pending, k, True)
+        self._rows = dict(prefix._rows)
         if prefix._ai is not None:
-            self._ai = _padded(prefix._ai, k, np.nan)
+            pad = len(self.points) - len(prefix._ai)
+            self._ai = np.pad(prefix._ai, (0, pad), constant_values=np.nan)
 
     def _root(self, name: str) -> np.ndarray:
-        """``X^{-1/2}`` (``"isq"``) or ``log X`` (``"log"``), bitwise
-        :func:`_invsqrtm`'s and :func:`_logm`'s, each formed on first use
-        from the query's one eigendecomposition."""
+        """``X^{-1/2}`` (``"isq"``), ``X^{1/2}`` (``"sq"``) or ``log X``
+        (``"log"``), bitwise :func:`_invsqrtm`'s, :func:`_sqrtm`'s and
+        :func:`_logm`'s, each formed on first use from the query's one
+        eigendecomposition."""
         roots = self._roots
         if name not in roots:
             if "eigh" not in roots:
                 roots["eigh"] = _eigh_sym(self.query.mat)
                 _check_positive(roots["eigh"][0], "matrix square root undefined on the cone")
             w, u = roots["eigh"]
-            roots[name] = _inv_sqrt(w, u) if name == "isq" else _spectral(u, np.log(w))
+            if name == "isq":
+                roots[name] = _inv_sqrt(w, u)
+            else:
+                roots[name] = _spectral(u, np.sqrt(w) if name == "sq" else np.log(w))
         return roots[name]
 
-    def tangents(self, metric: Metric, idx: np.ndarray | None = None) -> np.ndarray:
-        """The tangents reaching the points at ``idx``, as :func:`log_maps`
-        returns them; by default every point's, in the shared array, which
-        the caller must not write."""
-        if metric is Metric.AFFINE_INVARIANT:
-            tangents = self._whitened(np.arange(len(self.points)) if idx is None else idx)
-        else:
-            tangents = self._rows(
-                self._tangents,
-                metric,
-                lambda start: self.points.mats[start:] - self.query.mat
-                if metric is Metric.EUCLIDEAN
-                else self.points.logs[start:] - self._root("log"),
-            )
-        return tangents if idx is None else tangents[idx]
+    def _grow(self, kind: str, metric: Metric, rows) -> np.ndarray:
+        """The array ``(kind, metric)`` for every point, by :func:`_grown`."""
+        key = (kind, metric)
+        self._rows[key] = _grown(self._rows.get(key), len(self.points), rows)
+        return self._rows[key]
 
-    def _rows(self, store: dict, metric: Metric, rows) -> np.ndarray:
-        """``store[metric]`` for every point: the rows it holds, then
-        ``rows(start)`` for the points from ``start`` on."""
-        head = store.get(metric)
-        start = 0 if head is None else len(head)
-        if start < len(self.points):
-            tail = rows(start)
-            store[metric] = tail if head is None else np.concatenate([head, tail])
-        return store[metric]
+    def tangents(self, metric: Metric) -> np.ndarray:
+        """Every point's tangent, as :func:`log_maps` returns them."""
 
-    def _whitened(self, idx: np.ndarray) -> np.ndarray:
-        """The whitened tangents, with at least the rows at ``idx`` filled."""
-        if self._pending is None:
-            k, n = len(self.points), self.query.dim
-            self._tangents[Metric.AFFINE_INVARIANT] = np.empty((k, n, n), dtype=np.complex128)
-            self._pending = np.ones(k, dtype=bool)
-        tangents = self._tangents[Metric.AFFINE_INVARIANT]
-        missing = idx[self._pending[idx]]
-        if missing.size:
-            tangents[missing] = _whitened_logs(self._root("isq"), self.points.mats[missing])
-            self._pending[missing] = False
-        return tangents
+        def rows(start: int) -> np.ndarray:
+            if metric is Metric.EUCLIDEAN:
+                return self.points.mats[start:] - self.query.mat
+            if metric is Metric.LOG_EUCLIDEAN:
+                return self.points.logs[start:] - self._root("log")
+            return _whitened_logs(self._root("isq"), self.points.mats[start:])
+
+        return self._grow("tangents", metric, rows)
 
     def norms(self, metric: Metric) -> np.ndarray:
         """The Frobenius norm of every tangent: the metric's distances, for
         the affine-invariant metric in tangent-norm form."""
-        return self._rows(self._norms, metric, lambda start: _norms(self.tangents(metric)[start:]))
+        return self._grow("norms", metric, lambda start: _norms(self.tangents(metric)[start:]))
 
     def _ai_distances_at(self, idx: np.ndarray) -> np.ndarray:
         """The affine-invariant distances to the points at ``idx``, in
@@ -679,11 +658,6 @@ class _QueryGeometry:
             # entries never computed stay at +inf, behind the k computed ones
         idx = np.argsort(d, kind="stable")[:k]
         return idx, d[idx]
-
-
-def _padded(head: np.ndarray, k: int, fill) -> np.ndarray:
-    """``head``, then rows of ``fill`` up to ``k`` rows."""
-    return np.concatenate([head, np.full((k - len(head), *head.shape[1:]), fill, head.dtype)])
 
 
 def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
@@ -750,15 +724,17 @@ def nearest(
     return _QueryGeometry(points, x).nearest(metric, k)
 
 
-def log_maps(metric: Metric, x: SPDMatrix, points: SPDStack, idx) -> np.ndarray:
-    """Tangents at ``x`` reaching the points at ``idx``, stacked, bitwise.
+def log_maps(metric: Metric, x: SPDMatrix, points: SPDStack) -> np.ndarray:
+    """Tangents at ``x`` reaching every point of the stack, stacked, bitwise,
+    in one read-only array.
 
-    Slice ``j`` is ``whitened_log_map(metric, x, points[idx[j]]).mat``, the
+    Slice ``k`` is ``whitened_log_map(metric, x, points[k]).mat``, the
     tangent in coordinates whose Frobenius norm is the metric's norm at ``x``.
     ``x`` costs one eigendecomposition at most; the affine-invariant tangents
-    take one stacked congruence and one stacked logarithm.
+    take one stacked congruence and one stacked logarithm.  A caller that
+    wants the tangents to some of the points builds a stack of those points.
     """
-    return _QueryGeometry(points, x).tangents(metric, np.asarray(idx, dtype=np.intp))
+    return _QueryGeometry(points, x).tangents(metric)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 CSV emission, and aggregation."""
 
 import dataclasses
+import pickle
 import re
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -338,6 +339,33 @@ class TestRunBenchmark:
         starts.clear()
         assert strip_runtimes(run_benchmark(config)) == serial
         assert starts == []
+
+    def test_pickled_sweep_keeps_its_prefix_chain(self, monkeypatch):
+        # A spawn or forkserver pool pickles its initializer's arguments, the
+        # sweep with its whole dictionaries tuple, in one pickle.  The copy
+        # keeps each stack's prefix chain, so each K's schemes still start
+        # from the geometry the K before left, with the original's records.
+        config = tiny_config(dict_sizes=(2, 3, 5))
+        geometry = make_geometry(config)
+        rng, nested = harness._dictionary_rng(config, 0), []
+        for k in config.dict_sizes:
+            prefix = nested[-1] if nested else None
+            nested.append(build_dictionary(config, k, rng, geometry, prefix=prefix))
+        sweep = (config, geometry, (tuple(nested),))
+        copy = pickle.loads(pickle.dumps(sweep))
+        starts = []
+        real_start = interp._QueryGeometry._start_from
+
+        def start_from(geometry, prefix):
+            starts.append((len(prefix.points), len(geometry.points)))
+            real_start(geometry, prefix)
+
+        monkeypatch.setattr(interp._QueryGeometry, "_start_from", start_from)
+        monkeypatch.setattr(interp, "_LAST_GEOMETRY", None)
+        copied = strip_runtimes(harness._run_trial((0, 0), copy))
+        assert starts == [(2, 3), (3, 5)]
+        monkeypatch.setattr(interp, "_LAST_GEOMETRY", None)
+        assert copied == strip_runtimes(harness._run_trial((0, 0), sweep))
 
 
 class TestNestedStreams:

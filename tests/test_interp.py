@@ -1009,16 +1009,13 @@ def per_entry_ai_distances(isq, mats):
     return np.concatenate([REAL_AI_DISTANCES(isq, mats[j : j + 1]) for j in range(len(mats))])
 
 
-def per_entry_tangents(geometry, metric, idx=None):
+def per_entry_tangents(geometry, metric):
     """:meth:`spd._QueryGeometry.tangents` from whitened_log_map's steps once
-    per entry: the real tangents of a fresh one-point geometry, each
-    decomposing the query afresh."""
-    points = geometry.points
-    idx = range(len(points)) if idx is None else idx
+    per entry, one row per point: the real tangents of a fresh one-point
+    geometry, each decomposing the query afresh."""
     return np.stack([
-        REAL_TANGENTS(spd._QueryGeometry(spd.SPDStack._of(points[int(i)]), geometry.query),
-                      metric, np.array([0]))[0]
-        for i in idx
+        REAL_TANGENTS(spd._QueryGeometry(spd.SPDStack._of(p), geometry.query), metric)[0]
+        for p in geometry.points
     ])
 
 

@@ -194,7 +194,7 @@ class TestDistance:
                 lambda: distance(metric, x, y),
                 lambda: distances(metric, stack, x),
                 lambda: nearest(metric, stack, x, 1),
-                lambda: log_maps(metric, x, stack, [0]),
+                lambda: log_maps(metric, x, stack),
                 lambda: log_map(metric, x, y),
                 lambda: whitened_log_map(metric, x, y),
                 lambda: exp_map(metric, x, HermitianTangent(np.eye(3))),
@@ -291,6 +291,20 @@ class TestMaps:
             isq = (u / np.sqrt(w)) @ u.conj().T
             expected = isq @ expected @ isq
         assert frob(v.mat - expected) < 1e-9
+
+    def test_affine_invariant_log_map_decomposes_x_once(self, monkeypatch):
+        # The whitened tangent and the congruence back by X^{1/2} both come
+        # from one eigendecomposition of x; the one-row stack's is stacked.
+        rng = np.random.default_rng(14)
+        x, y = random_spd(rng, 4), random_spd(rng, 4)
+        shapes = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a, *args, **kwargs: shapes.append(a.shape)
+            or real_eigh(a, *args, **kwargs)
+        )
+        log_map(Metric.AFFINE_INVARIANT, x, y)
+        assert [s for s in shapes if len(s) == 2] == [(4, 4)]
 
     @given(seeds, st.sampled_from(METRICS))
     def test_exp_log_inverse_pair(self, seed, metric):
@@ -743,17 +757,24 @@ class TestStack:
             assert not stack.mats.flags.writeable and not stack.logs.flags.writeable
 
     @pytest.mark.parametrize("filled", [False, True])
-    def test_pickled_extension_leaves_its_prefix_behind(self, filled):
+    def test_pickled_extension_keeps_a_copy_of_its_prefix(self, filled):
         rng = np.random.default_rng(17)
         points = [random_spd(rng, 3) for _ in range(5)]
         prefix, stack = self.chain(points, (2, 5))
         if filled:
             stack.logs
         clone = pickle.loads(pickle.dumps(stack))
-        assert stack._prefix is prefix and clone._prefix is None
+        assert stack._prefix is prefix
+        assert isinstance(clone._prefix, SPDStack) and clone._prefix is not prefix
+        assert len(clone._prefix) == len(prefix) and clone._extends(clone._prefix)
+        assert clone.points[: len(prefix)] == clone._prefix.points
         for original, copy in [(p.mat, c.mat) for p, c in zip(stack, clone)] + [
+            (p.mat, c.mat) for p, c in zip(prefix, clone._prefix)
+        ] + [
             (stack.mats, clone.mats),
             (stack.logs, clone.logs),
+            (prefix.mats, clone._prefix.mats),
+            (prefix.logs, clone._prefix.logs),
         ]:
             assert np.array_equal(copy, original)
             assert not copy.flags.writeable
@@ -781,7 +802,9 @@ class TestStack:
         stack = random_stack(6, k)
         q = random_spd(np.random.default_rng(7), 3)
         idx = np.random.default_rng(8).permutation(k)
-        tangents = log_maps(metric, q, stack, idx)
+        tangents = log_maps(metric, q, SPDStack([stack[i] for i in idx]))
+        assert np.array_equal(tangents, log_maps(metric, q, stack)[idx])
+        assert not tangents.flags.writeable
         for j, i in enumerate(idx):
             assert np.array_equal(tangents[j], whitened_log_map(metric, q, stack[i]).mat)
             ambient = log_map(metric, q, stack[i]).mat
