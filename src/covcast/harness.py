@@ -325,13 +325,14 @@ _SWEEP: tuple | None = None
 
 def _fit_stacks(dictionaries) -> None:
     """Fit both sides' stacked matrices and logarithms of every redraw's
-    dictionaries, so the records time the estimators alone.  A dictionary's
-    stacks reuse the rows of the smaller dictionary they extend, so each
-    redraw fits its largest size's rows once per side."""
+    dictionaries, and the uplinks' half-vectorized columns of both, which
+    the query geometries read, so the records time the estimators alone.
+    A dictionary's stacks reuse the rows of the smaller dictionary they
+    extend, so each redraw fits its largest size's rows once per side."""
     for nested in dictionaries:
         for dictionary in nested:
-            for stack in (dictionary.uplinks, dictionary.downlinks):
-                stack.logs  # its logarithms are fitted from its matrices
+            dictionary.downlinks.logs  # its logarithms are fitted from its matrices
+            dictionary.uplinks.mat_cols, dictionary.uplinks.log_cols
 
 
 def _init_sweep(config: ScenarioConfig, geometry: ArrayGeometry, dictionaries) -> None:

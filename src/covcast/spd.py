@@ -12,6 +12,7 @@ All operations are pure functions; :class:`SPDMatrix` and
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -285,7 +286,8 @@ def _whitened_logs(isq: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a complex stack, at any scale.
+    """Frobenius norm of each matrix of a complex stack, or 2-norm of each
+    real row of a ``(k, m)`` array, at any scale.
 
     Each matrix is read as the real row of its entries' real and imaginary
     parts.  A row whose plain norm lies outside ``[2^-480, 2^480]``, where a
@@ -304,6 +306,33 @@ def _norms(a: np.ndarray) -> np.ndarray:
         scaled = np.ldexp(rows[far], -exponent[:, None])
         d[far] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
     return d
+
+
+@functools.cache
+def _half_vectorization(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of an ``(n, n)`` complex matrix's flat float64 view that
+    half-vectorize it, and their factors; read-only, built once per ``n``.
+
+    The columns are its ``n`` real diagonal entries, then the real and then
+    the imaginary parts of its ``n (n - 1) / 2`` entries above the diagonal;
+    the factors are 1 on the diagonal and ``sqrt(2)`` above it.  A Hermitian
+    matrix's Frobenius norm is the 2-norm of its factored columns, and a
+    weighted sum of matrices has the weighted sum of their rows, in ``n^2``
+    real numbers where the complex entries take ``2 n^2``.
+    """
+    upper = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
+    cols = np.concatenate([2 * (n + 1) * np.arange(n), 2 * upper, 2 * upper + 1])
+    factor = np.full(n * n, np.sqrt(2.0))
+    factor[:n] = 1.0
+    return _read_only(cols), _read_only(factor)
+
+
+def _half_vectorized(a: np.ndarray) -> np.ndarray:
+    """The :func:`_half_vectorization` columns of a matrix, or of each matrix
+    in a stack, unfactored: each entry is read as it is, so the columns of a
+    difference are the difference of the columns, bit for bit."""
+    cols, _ = _half_vectorization(a.shape[-1])
+    return np.take(a.reshape(*a.shape[:-2], -1).view(np.float64), cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +469,17 @@ def _grown(head: np.ndarray | None, k: int, rows) -> np.ndarray:
 
 class SPDStack(Sequence):
     """Fixed sequence of positive-definite matrices of one dimension, held as
-    one (k, n, n) array whose logarithms are stacked on first use.
+    one (k, n, n) array whose logarithms, and the half-vectorized columns
+    of both, are stacked on first use.
 
     Each array is computed once per object, in this process, with the steps
     of the per-matrix functions (:func:`matrix_log`), so every slice is
     bitwise what that function returns for its point.  Nothing is computed
     at construction, and an array that is never asked for is never built.
     :func:`barycenter` and the query geometry behind :func:`distances`,
-    :func:`nearest` and :func:`log_maps` read the arrays.
+    :func:`nearest` and :func:`log_maps` read the arrays; only the geometry
+    reads the columns, so only stacks that are queried (a dictionary's
+    uplinks) hold them.
 
     A stack may extend a ``prefix`` stack: its points are the prefix's,
     then ``points``.  Its arrays grow from the prefix's arrays, fitted on
@@ -463,7 +495,7 @@ class SPDStack(Sequence):
         the first offending entry).
     """
 
-    __slots__ = ("_points", "_prefix", "_mats", "_logs")
+    __slots__ = ("_points", "_prefix", "_mats", "_logs", "_mat_cols", "_log_cols")
 
     def __init__(self, points: Iterable[SPDMatrix], prefix: SPDStack | None = None) -> None:
         points = tuple(points)
@@ -479,19 +511,15 @@ class SPDStack(Sequence):
                 )
         self._points = points
         self._prefix = prefix
-        self._mats: np.ndarray | None = None
-        self._logs: np.ndarray | None = None
+        self._mats = self._logs = self._mat_cols = self._log_cols = None
 
     __setstate__ = _restore_read_only
 
     @classmethod
     def _of(cls, point: SPDMatrix) -> SPDStack:
         """One-point stack whose matrices view the point's own array."""
-        stack = cls.__new__(cls)
-        stack._points = (point,)
-        stack._prefix = None
+        stack = cls((point,))
         stack._mats = point.mat[None]
-        stack._logs = None
         return stack
 
     @property
@@ -508,23 +536,35 @@ class SPDStack(Sequence):
     def __getitem__(self, index):
         return self._points[index]
 
+    def _fitted(self, name: str, rows) -> np.ndarray:
+        """The array ``name``, grown on first use from the prefix's (see
+        :func:`_grown`)."""
+        slot = "_" + name
+        if getattr(self, slot) is None:
+            head = None if self._prefix is None else getattr(self._prefix, name)
+            setattr(self, slot, _grown(head, len(self), rows))
+        return getattr(self, slot)
+
     @property
     def mats(self) -> np.ndarray:
         """The points ``P_k`` themselves, shape (k, n, n), read-only."""
-        if self._mats is None:
-            head = None if self._prefix is None else self._prefix.mats
-            self._mats = _grown(
-                head, len(self), lambda start: np.stack([p.mat for p in self._points[start:]])
-            )
-        return self._mats
+        return self._fitted("mats", lambda start: np.stack([p.mat for p in self._points[start:]]))
 
     @property
     def logs(self) -> np.ndarray:
         """``log P_k`` for every point, shape (k, n, n), read-only."""
-        if self._logs is None:
-            head = None if self._prefix is None else self._prefix.logs
-            self._logs = _grown(head, len(self), lambda start: _logm(self.mats[start:]))
-        return self._logs
+        return self._fitted("logs", lambda start: _logm(self.mats[start:]))
+
+    @property
+    def mat_cols(self) -> np.ndarray:
+        """The half-vectorized columns of ``mats`` (:func:`_half_vectorized`),
+        shape (k, n^2), read-only."""
+        return self._fitted("mat_cols", lambda start: _half_vectorized(self.mats[start:]))
+
+    @property
+    def log_cols(self) -> np.ndarray:
+        """The half-vectorized columns of ``logs``, shape (k, n^2), read-only."""
+        return self._fitted("log_cols", lambda start: _half_vectorized(self.logs[start:]))
 
     def _extends(self, stack: SPDStack) -> bool:
         """Whether ``stack`` is this stack's prefix, or a prefix of it: then
@@ -543,11 +583,16 @@ class _QueryGeometry:
     - the query's one eigendecomposition, and from it ``X^{-1/2}``,
       ``X^{1/2}`` and ``log X``, each formed when first read;
     - the tangents ``P_k - X``, ``log P_k - log X`` and
-      ``log(X^{-1/2} P_k X^{-1/2})`` to every point, and their norms: the
-      Euclidean and log-Euclidean distances, and the bounds of the
+      ``log(X^{-1/2} P_k X^{-1/2})`` to every point as real rows
+      (:meth:`rows`), which the weight schemes read, and their norms
+      (:meth:`norms`): the metrics' distances, and the bounds of the
       affine-invariant search of :func:`nearest`;
     - the affine-invariant distances, row by row as that search asks for
       them.
+
+    The complex tangents (:meth:`tangents`) are formed for the
+    affine-invariant rows and norms, and otherwise only for
+    :func:`log_maps`, :func:`log_map` and :func:`whitened_log_map`.
 
     :func:`distances`, :func:`nearest` and :func:`log_maps` each read a
     fresh geometry; ``covcast.interp``'s weight schemes share one per
@@ -570,8 +615,8 @@ class _QueryGeometry:
         self.points = points
         self.query = query
         self._roots: dict[str, object] = {}
-        # keyed by ("tangents" or "norms", metric); an array shorter than
-        # the stack holds the rows _start_from took
+        # keyed by ("tangents", "rows" or "norms", metric); an array shorter
+        # than the stack holds the rows _start_from took
         self._rows: dict[tuple[str, Metric], np.ndarray] = {}
         self._ai: np.ndarray | None = None  # affine-invariant distances, nan until computed
 
@@ -618,10 +663,35 @@ class _QueryGeometry:
 
         return self._grow("tangents", metric, rows)
 
+    def rows(self, metric: Metric) -> np.ndarray:
+        """Every point's tangent as the real row of its half-vectorization
+        (:func:`_half_vectorization`), its columns times their factors, shape
+        (k, n^2).  The Euclidean and log-Euclidean rows subtract the query's
+        columns, or those of ``log X``, from the stack's, as the complex
+        tangents subtract the entries; the affine-invariant rows are taken
+        from the complex tangents."""
+
+        def rows(start: int) -> np.ndarray:
+            if metric is Metric.EUCLIDEAN:
+                cols = self.points.mat_cols[start:] - _half_vectorized(self.query.mat)
+            elif metric is Metric.LOG_EUCLIDEAN:
+                cols = self.points.log_cols[start:] - _half_vectorized(self._root("log"))
+            else:
+                cols = _half_vectorized(self.tangents(metric)[start:])
+            cols *= _half_vectorization(self.points.dim)[1]
+            return cols
+
+        return self._grow("rows", metric, rows)
+
     def norms(self, metric: Metric) -> np.ndarray:
         """The Frobenius norm of every tangent: the metric's distances, for
-        the affine-invariant metric in tangent-norm form."""
-        return self._grow("norms", metric, lambda start: _norms(self.tangents(metric)[start:]))
+        the affine-invariant metric in tangent-norm form.  Euclidean and
+        log-Euclidean norms are those of the :meth:`rows`.  Affine-invariant
+        ones are summed over the complex tangents: the rows' sum rounds
+        differently, and a rounding-size change of the kernel's weights can
+        flip a Karcher mean's convergence verdict."""
+        read = self.tangents if metric is Metric.AFFINE_INVARIANT else self.rows
+        return self._grow("norms", metric, lambda start: _norms(read(metric)[start:]))
 
     def _ai_distances_at(self, idx: np.ndarray) -> np.ndarray:
         """The affine-invariant distances to the points at ``idx``, in
@@ -663,9 +733,10 @@ class _QueryGeometry:
 def distances(metric: Metric, points: SPDStack, x: SPDMatrix) -> np.ndarray:
     """``distance(metric, x, p)`` for every point ``p`` of the stack, bitwise.
 
-    Euclidean and log-Euclidean distances are the norms of the
-    :func:`log_maps` tangents ``P_k - X`` and ``log P_k - log X``, at any
-    scale.  ``x`` costs one eigendecomposition at most.
+    Euclidean and log-Euclidean distances are the norms of the tangents
+    ``P_k - X`` and ``log P_k - log X``, at any scale, summed over the
+    ``n^2`` real numbers of their half-vectorizations.  ``x`` costs one
+    eigendecomposition at most.
 
     Affine-invariant keeps its eigenvalue form, the root sum of squared
     log-eigenvalues of ``X^{-1/2} P_k X^{-1/2}``: the tangent's norm adds the

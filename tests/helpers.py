@@ -41,6 +41,21 @@ def random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
     return (u * s) @ v.conj().T
 
 
+def half_vectorized_by_entry(t: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The real row of a Hermitian matrix, read entry by entry: its diagonal,
+    then ``sqrt(2)`` times the real and then the imaginary parts of the
+    entries above it, row by row, each multiplied by ``scale`` (a power of
+    two) with one rounding."""
+    n = t.shape[0]
+    upper = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    root2 = np.sqrt(2.0) * scale
+    return np.array(
+        [t[j, j].real * scale for j in range(n)]
+        + [root2 * t[j, k].real for j, k in upper]
+        + [root2 * t[j, k].imag for j, k in upper]
+    )
+
+
 def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
 

@@ -43,17 +43,19 @@ from covcast.spd import (
     KARCHER_TOL,
     Metric,
     SPDMatrix,
+    SPDStack,
     barycenter,
     distance,
     distances,
     log_map,
+    log_maps,
     nearest,
     whitened_log_map,
 )
 from helpers import (
     check_cut_newton_step,
     frob,
-    random_hermitian,
+    half_vectorized_by_entry,
     random_invertible,
     random_spd,
 )
@@ -405,31 +407,40 @@ class TestKernelWeights:
 
 
 class TestTangentRows:
-    """The real rows the bandwidth search holds its tangents in."""
+    """The real rows the weight schemes hold a query's tangents in."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_half_vectorization(self, n):
         rng = np.random.default_rng(40 + n)
         k = 7
-        stack = np.stack([random_hermitian(rng, n).mat for _ in range(k)])
-        rows = interp._tangent_rows(stack, np.arange(k), 1.0)
-        assert rows.shape == (k, n * n) and rows.dtype == np.float64
-        # the 2-norm of a row is the tangent's Frobenius norm
-        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), spd._norms(stack),
-                                   rtol=1e-15, atol=0.0)
-        # a weighted sum of rows is the row of the weighted tangent sum
-        w = rng.uniform(size=k)
-        summed = np.tensordot(w, stack, axes=1)[None]
-        np.testing.assert_allclose(w @ rows, interp._tangent_rows(summed, np.arange(1), 1.0)[0],
-                                   rtol=1e-13, atol=1e-13)
-        # the rows of a permuted stack are the permuted rows, bit for bit,
-        # and gathering in that order gives the same rows
-        perm = rng.permutation(k)
-        permuted = interp._tangent_rows(stack[perm], np.arange(k), 1.0)
-        assert np.array_equal(permuted, rows[perm])
-        assert np.array_equal(interp._tangent_rows(stack, perm, 1.0), rows[perm])
-        # a power-of-two unit scales them exactly
-        assert np.array_equal(interp._tangent_rows(stack, np.arange(k), 2.0**-40), rows * 2.0**40)
+        stack = SPDStack([random_spd(rng, n) for _ in range(k)])
+        q = random_spd(rng, n)
+        for metric in METRICS:
+            tangents = log_maps(metric, q, stack)
+            rows = spd._QueryGeometry(stack, q).rows(metric)
+            assert rows.shape == (k, n * n) and rows.dtype == np.float64
+            # row j is tangent j's half-vectorization, read entry by entry
+            assert np.array_equal(rows, np.stack([half_vectorized_by_entry(t) for t in tangents]))
+            # the 2-norm of a row is the tangent's Frobenius norm
+            np.testing.assert_allclose(np.linalg.norm(rows, axis=1), spd._norms(tangents),
+                                       rtol=1e-15, atol=0.0)
+            # a weighted sum of rows is the row of the weighted tangent sum
+            w = rng.uniform(size=k)
+            summed = np.tensordot(w, tangents, axes=1)
+            np.testing.assert_allclose(w @ rows, half_vectorized_by_entry(summed),
+                                       rtol=1e-13, atol=1e-13)
+            # the rows of a permuted stack are the permuted rows, bit for bit,
+            # and gathering in that order gives the permuted tangents' rows
+            perm = rng.permutation(k)
+            permuted = spd._QueryGeometry(SPDStack([stack[i] for i in perm]), q).rows(metric)
+            assert np.array_equal(permuted, rows[perm])
+            assert np.array_equal(
+                rows[perm], np.stack([half_vectorized_by_entry(tangents[i]) for i in perm])
+            )
+            # a power-of-two unit scales them exactly: the rows divided by it
+            # are the entries times their factor over it, rounded once
+            scaled = np.stack([half_vectorized_by_entry(t, 2.0**40) for t in tangents])
+            assert np.array_equal(rows / 2.0**-40, scaled)
 
 
 def refinement_bound(width: float, t: float) -> int:
@@ -999,6 +1010,7 @@ SCHEMES = [Scheme.nearest_neighbor(), Scheme.mirror(), Scheme.kernel()]
 REAL_NORMS = spd._norms
 REAL_AI_DISTANCES = spd._ai_distances
 REAL_TANGENTS = spd._QueryGeometry.tangents
+REAL_ROWS = spd._QueryGeometry.rows
 
 
 def per_entry_norms(a):
@@ -1015,6 +1027,15 @@ def per_entry_tangents(geometry, metric):
     geometry, each decomposing the query afresh."""
     return np.stack([
         REAL_TANGENTS(spd._QueryGeometry(spd.SPDStack._of(p), geometry.query), metric)[0]
+        for p in geometry.points
+    ])
+
+
+def per_entry_rows(geometry, metric):
+    """:meth:`spd._QueryGeometry.rows` once per entry, one row per point: the
+    real row of a fresh one-point geometry, each reading the query afresh."""
+    return np.stack([
+        REAL_ROWS(spd._QueryGeometry(spd.SPDStack._of(p), geometry.query), metric)[0]
         for p in geometry.points
     ])
 
@@ -1049,10 +1070,10 @@ class TestFittedDictionary:
     def test_estimates_equal_per_entry_path(self, metric, k, monkeypatch):
         # Distances (those the nearest-entry search of nearest neighbor and
         # mirror takes, its affine-invariant step included) computed one row
-        # at a time, and the tangents of the query's geometry (whose norms
-        # are the flat metrics' and the kernel's distances) recomputed entry
-        # by entry with whitened_log_map, must give the same weights, flags
-        # and estimates, bit for bit.
+        # at a time, and the real rows and complex tangents of the query's
+        # geometry (the rows' norms are the flat metrics' distances, the
+        # affine-invariant tangents' norms the kernel's) recomputed entry by
+        # entry, must give the same weights, flags and estimates, bit for bit.
         rng = np.random.default_rng(50 + k)
         d = make_dictionary(rng, k)
         q = random_spd(rng, 3)
@@ -1060,6 +1081,7 @@ class TestFittedDictionary:
         monkeypatch.setattr(spd, "_norms", per_entry_norms)
         monkeypatch.setattr(spd, "_ai_distances", per_entry_ai_distances)
         monkeypatch.setattr(spd._QueryGeometry, "tangents", per_entry_tangents)
+        monkeypatch.setattr(spd._QueryGeometry, "rows", per_entry_rows)
         fresh = make_dictionary(np.random.default_rng(50 + k), k)
         for scheme, est in zip(SCHEMES, stacked):
             assert same_estimate(est, estimate_downlink(fresh, q, scheme, metric))

@@ -42,6 +42,7 @@ from covcast.spd import (
 from helpers import (
     check_cut_newton_step,
     frob,
+    half_vectorized_by_entry,
     random_hermitian,
     random_invertible,
     random_spd,
@@ -778,6 +779,45 @@ class TestStack:
         ]:
             assert np.array_equal(copy, original)
             assert not copy.flags.writeable
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_rows_are_the_half_vectorized_tangents(self, metric):
+        # A query geometry's real rows are bitwise the sqrt(2)-scaled
+        # half-vectorizations of log_maps' tangents, read entry by entry:
+        # on a fresh stack, on a geometry grown from a prefix's
+        # (_start_from), and on an unpickled stack whose columns were fitted
+        # before the pickle.  The Euclidean and log-Euclidean distances are
+        # the rows' norms.
+        rng = np.random.default_rng(18)
+        points = [random_spd(rng, 10, (1e-9, 1e-4)) for _ in range(9)]
+        q = random_spd(rng, 10, (1e-9, 1e-4))
+        expected = np.stack(
+            [half_vectorized_by_entry(t) for t in log_maps(metric, q, SPDStack(points))]
+        )
+        prefix, extension = self.chain(points, (4, 9))
+        small = spd._QueryGeometry(prefix, q)
+        small.rows(metric)
+        grown = spd._QueryGeometry(extension, q)
+        grown._start_from(small)
+        fitted = SPDStack(points)
+        fitted.mat_cols, fitted.log_cols
+        clone = pickle.loads(pickle.dumps(fitted))
+        assert clone._mat_cols is not None and clone._log_cols is not None
+        for stack in (fitted, clone):
+            for cols in (stack.mat_cols, stack.log_cols):
+                assert cols.shape == (9, 100) and not cols.flags.writeable
+        for geometry in (spd._QueryGeometry(SPDStack(points), q), grown,
+                         spd._QueryGeometry(clone, q)):
+            rows = geometry.rows(metric)
+            assert np.array_equal(rows, expected)
+            assert not rows.flags.writeable
+            if metric is not Metric.AFFINE_INVARIANT:
+                d = distances(metric, geometry.points, q)
+                assert np.array_equal(d, spd._norms(expected))
+                assert np.array_equal(geometry.distances(metric), d)
+                np.testing.assert_allclose(d, np.linalg.norm(expected, axis=1),
+                                           rtol=1e-15, atol=0.0)
+        assert np.array_equal(grown.rows(metric)[:4], small.rows(metric))
 
     @pytest.mark.parametrize("k", STACK_SIZES)
     def test_logs_and_inverse_roots(self, k):
