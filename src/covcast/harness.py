@@ -332,7 +332,7 @@ def _fit_stacks(dictionaries) -> None:
     for nested in dictionaries:
         for dictionary in nested:
             dictionary.downlinks.logs  # its logarithms are fitted from its matrices
-            dictionary.uplinks.mat_cols, dictionary.uplinks.log_cols
+            dictionary.uplinks.mat_cols, dictionary.uplinks.log_cols  # and the logs they read
 
 
 def _init_sweep(config: ScenarioConfig, geometry: ArrayGeometry, dictionaries) -> None:
